@@ -3,7 +3,7 @@ GO ?= go
 # Benchmarks covered by the CI regression gate (serial hot paths only:
 # worker-scaling and RunParallel benches vary with the runner's core count
 # and would make cross-run comparison meaningless).
-GATE_ENGINE_BENCH = BenchmarkWhereFilter|BenchmarkHashJoin|BenchmarkGroupByAggregate|BenchmarkProjection|BenchmarkDistinct|BenchmarkVectorFilter|BenchmarkVectorProject|BenchmarkStreamingPipeline
+GATE_ENGINE_BENCH = BenchmarkWhereFilter|BenchmarkHashJoin|BenchmarkJoinTemplates|BenchmarkGroupByAggregate|BenchmarkProjection|BenchmarkDistinct|BenchmarkVectorFilter|BenchmarkVectorProject|BenchmarkStreamingPipeline
 # Spill benches are disk-IO-bound and run only 1-3 iterations at 200ms, so
 # they get a longer benchtime for a stable median under the same 15% gate.
 GATE_SPILL_BENCH = BenchmarkSpillJoin|BenchmarkSpillSort|BenchmarkSpillAggregate
@@ -12,7 +12,7 @@ GATE_PREPARED_BENCH = BenchmarkSystemRunRepeated|BenchmarkPreparedRunRepeated
 GATE_COUNT = 5
 GATE_BENCHTIME = 200ms
 
-.PHONY: check build test vet race lint flexlint fuzz-smoke vuln test-lowmem test-faults test-telemetry bench-short bench-engine bench-prepared bench-paper bench-parallel bench-spill bench-vector bench-streaming bench-telemetry bench-current bench-baseline bench-gate flexbench-small
+.PHONY: check build test vet race lint flexlint fuzz-smoke vuln test-lowmem test-faults test-telemetry bench-short bench-engine bench-prepared bench-paper bench-parallel bench-spill bench-vector bench-streaming bench-telemetry bench-current bench-baseline bench-gate flexbench-small bench-e2e bench-e2e-smoke bench-e2e-compare
 
 # Default: the tier-1 verification plus static analysis.
 check: build vet test
@@ -204,3 +204,19 @@ bench-gate:
 # same-day reruns; use flexbench -out for an explicit path).
 flexbench-small:
 	$(GO) run ./cmd/flexbench -small -json auto
+
+# The repository's benchmark (bench/e2e, declared in BENCHMARK.json): five
+# named workloads, every answer verified, every metric printed by name.
+# `bench-e2e` is the full untraced run (≈20 s measured per workload); add
+# `-trace 1` by hand for the per-layer numbers. The smoke runs 1% of the op
+# lists — it checks that the harness and the oracle still agree with the
+# program, not any timing. `bench-e2e-compare OLD=a.jsonl NEW=b.jsonl` applies
+# BENCHMARK.json's bounds to two ledgers written with `-out`.
+bench-e2e:
+	$(GO) run ./bench/e2e
+
+bench-e2e-smoke:
+	$(GO) run ./bench/e2e -scale 0.01
+
+bench-e2e-compare:
+	$(GO) run ./bench/e2e -compare $(OLD) $(NEW)

@@ -286,13 +286,14 @@ func (ctx *execContext) executeAggregateParallel(stmt *sqlparser.SelectStmt, rel
 				return evalErr
 			}
 			for i := range msel {
-				key := ""
 				if len(keyBatch) > 0 {
 					keyScratch = appendRowKeyVecs(keyScratch[:0], aw.keyVecs, i)
-					key = string(keyScratch)
 				}
-				g, ok := sh.groups[key]
+				// The map lookup converts without allocating; the key string is
+				// materialized only for a group's first row.
+				g, ok := sh.groups[string(keyScratch)]
 				if !ok {
+					key := string(keyScratch)
 					var keyVals []Value
 					if len(keyBatch) > 0 {
 						keyVals = make([]Value, len(keyBatch))
@@ -328,7 +329,6 @@ func (ctx *execContext) executeAggregateParallel(stmt *sqlparser.SelectStmt, rel
 		for _, ri := range ids[s.lo:s.hi] {
 			row := rel.rows[ri]
 			var keyVals []Value
-			key := ""
 			if len(keyFns) > 0 {
 				keyVals = make([]Value, len(keyFns))
 				for i, fn := range keyFns {
@@ -339,10 +339,10 @@ func (ctx *execContext) executeAggregateParallel(stmt *sqlparser.SelectStmt, rel
 					keyVals[i] = v
 				}
 				keyScratch = AppendRowKey(keyScratch[:0], keyVals)
-				key = string(keyScratch)
 			}
-			g, ok := sh.groups[key]
+			g, ok := sh.groups[string(keyScratch)]
 			if !ok {
+				key := string(keyScratch)
 				g = newGroup(keyVals, row)
 				sh.groups[key] = g
 				sh.order = append(sh.order, key)

@@ -189,3 +189,69 @@ func BenchmarkParallelJoin(b *testing.B) {
 		`SELECT COUNT(*) FROM trips t JOIN drivers d ON t.driver_id = d.id
 		 WHERE t.city_id = d.home_city`)
 }
+
+// joinTemplatesDB mirrors the rideshare tables the three Table-2 join
+// templates read, at the benchmark's scale: 66k trips over 1.2k drivers, 40
+// cities and 90 days, and 3k user tags.
+func joinTemplatesDB(b *testing.B) *DB {
+	b.Helper()
+	db := NewDB()
+	db.MustCreateTable("trips", []Column{
+		{Name: "id", Type: KindInt}, {Name: "driver_id", Type: KindInt},
+		{Name: "rider_id", Type: KindInt}, {Name: "city_id", Type: KindInt},
+		{Name: "day", Type: KindInt}, {Name: "fare", Type: KindFloat},
+		{Name: "product", Type: KindString}, {Name: "status", Type: KindString},
+	})
+	db.MustCreateTable("drivers", []Column{
+		{Name: "id", Type: KindInt}, {Name: "home_city", Type: KindInt},
+		{Name: "signup_day", Type: KindInt}, {Name: "active", Type: KindBool},
+	})
+	db.MustCreateTable("cities", []Column{
+		{Name: "id", Type: KindInt}, {Name: "name", Type: KindString}, {Name: "region", Type: KindString},
+	})
+	db.MustCreateTable("user_tags", []Column{
+		{Name: "user_id", Type: KindInt}, {Name: "day", Type: KindInt}, {Name: "tag", Type: KindString},
+	})
+	fill := func(table string, n int, row func(i int) []Value) {
+		rows := make([][]Value, n)
+		for i := range rows {
+			rows[i] = row(i)
+		}
+		if err := db.InsertRows(table, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	regions := []string{"na", "emea", "apac", "latam"}
+	fill("trips", 66000, func(i int) []Value {
+		return []Value{NewInt(int64(i)), NewInt(int64(i % 1200)), NewInt(int64(i % 5000)),
+			NewInt(int64(1 + i%40)), NewInt(int64(i % 90)), NewFloat(float64(i%97) + 0.5),
+			NewString([]string{"x", "pool", "black"}[i%3]), NewString("completed")}
+	})
+	fill("drivers", 1200, func(i int) []Value {
+		return []Value{NewInt(int64(i)), NewInt(int64(1 + i%40)), NewInt(int64(i % 90)), NewBool(i%5 != 0)}
+	})
+	fill("cities", 40, func(i int) []Value {
+		return []Value{NewInt(int64(1 + i)), NewString(fmt.Sprintf("city%d", i)), NewString(regions[i%4])}
+	})
+	fill("user_tags", 3000, func(i int) []Value {
+		return []Value{NewInt(int64(i % 1000)), NewInt(int64(i % 90)), NewString("tag")}
+	})
+	return db
+}
+
+// BenchmarkJoinTemplates runs the three join templates of the Table-2 corpus
+// (workload/expcorpus.go): each has a single-side WHERE the planner pushes
+// below the join and a COUNT(*) that reads no join output column.
+func BenchmarkJoinTemplates(b *testing.B) {
+	db := joinTemplatesDB(b)
+	for _, q := range []struct{ name, sql string }{
+		{"active_drivers", "SELECT COUNT(*) FROM trips t JOIN drivers d ON t.driver_id = d.id WHERE d.active = TRUE AND t.day >= 20"},
+		{"region", "SELECT COUNT(*) FROM trips t JOIN cities c ON t.city_id = c.id WHERE c.region = 'emea'"},
+		{"many_to_many", "SELECT COUNT(*) FROM trips t JOIN user_tags g ON t.day = g.day WHERE t.city_id = 7"},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			benchQuery(b, db, q.sql)
+		})
+	}
+}

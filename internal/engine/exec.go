@@ -249,7 +249,14 @@ func (ctx *execContext) executeCore(stmt *sqlparser.SelectStmt) (*ResultSet, [][
 // FROM (with streaming join probes) → WHERE (selection vectors) → the
 // aggregation or projection sink. Only pipeline breakers materialize rows.
 func (ctx *execContext) executeCoreStreaming(stmt *sqlparser.SelectStmt) (rs *ResultSet, sortKeys [][]Value, err error) {
-	p, err := ctx.buildFromPipeline(stmt.From)
+	// The plan says which WHERE/ON conjuncts run below which join and which
+	// columns each join still emits; what it left of the WHERE runs here.
+	plan := ctx.planFor(stmt)
+	where := stmt.Where
+	if plan != nil {
+		where = plan.where
+	}
+	p, err := ctx.buildFromPipeline(stmt.From, plan)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -261,13 +268,10 @@ func (ctx *execContext) executeCoreStreaming(stmt *sqlparser.SelectStmt) (rs *Re
 		}
 	}()
 
-	if stmt.Where != nil {
-		f, ferr := ctx.newFilterOp(p.rel, stmt.Where)
-		if ferr != nil {
-			err = ferr
+	if where != nil {
+		if err = ctx.pushFilter(p, where, ""); err != nil {
 			return nil, nil, err
 		}
-		p.push(ctx.traceOp("filter", "", f), p.rel)
 	}
 
 	aggregated := len(stmt.GroupBy) > 0 || stmt.Having != nil
@@ -590,19 +594,7 @@ type equiKey struct {
 // splitJoinCondition decomposes an ON condition into hash-joinable equality
 // conjuncts plus a residual predicate evaluated on the combined row.
 func splitJoinCondition(on sqlparser.Expr, left, right *relation) (keys []equiKey, residual []sqlparser.Expr) {
-	var conjuncts []sqlparser.Expr
-	var flatten func(e sqlparser.Expr)
-	flatten = func(e sqlparser.Expr) {
-		if b, ok := e.(*sqlparser.BinaryExpr); ok && b.Op == "AND" {
-			flatten(b.Left)
-			flatten(b.Right)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	flatten(on)
-
-	for _, c := range conjuncts {
+	for _, c := range conjuncts(on, nil) {
 		b, ok := c.(*sqlparser.BinaryExpr)
 		if ok && b.Op == "=" {
 			lc, lok := b.Left.(*sqlparser.ColumnRef)
@@ -632,101 +624,147 @@ func splitJoinCondition(on sqlparser.Expr, left, right *relation) (keys []equiKe
 // (key positions, build-side index, compiled residuals) consulted by every
 // probe scan, serial or parallel.
 type joinProbe struct {
+	joinLayout
 	keys   []equiKey
 	index  *buildIndex
 	right  [][]Value
 	resFns []evalFn
-	width  int  // combined output width
 	vector bool // batch the probe-key encoding per morsel
 }
+
+// joinLayout is the shape of a join's output row: the columns of the left and
+// of the right input row it carries, in order. Nil lists keep the whole side
+// (the materialized join, an empty plan); nLeft/nRight count the columns taken.
+type joinLayout struct {
+	keepL, keepR  []int
+	nLeft, nRight int
+}
+
+// combine appends the output row for the pair (lr, rr) to dst.
+func (l joinLayout) combine(dst, lr, rr []Value) []Value {
+	return appendKept(appendKept(dst, lr, l.keepL), rr, l.keepR)
+}
+
+// pad builds an outer join's padding row around one input row: src's kept
+// columns on its side, NULLs (the zero Value) on the other.
+func (l joinLayout) pad(src []Value, left bool) []Value {
+	row := make([]Value, l.nLeft+l.nRight)
+	if left {
+		appendKept(row[:0], src, l.keepL)
+	} else {
+		appendKept(row[:l.nLeft], src, l.keepR)
+	}
+	return row
+}
+
+// appendKept appends src's kept columns to dst; a nil keep list keeps all.
+func appendKept(dst, src []Value, keep []int) []Value {
+	if keep == nil {
+		return append(dst, src...)
+	}
+	for _, i := range keep {
+		dst = append(dst, src[i])
+	}
+	return dst
+}
+
+// probeScratch is one worker's reusable probe state: key-encoding buffers,
+// the slab output rows are carved from, and the streaming join's matched
+// flags. The zero value is ready to use.
+type probeScratch struct {
+	sel    []int
+	kvecs  []*vector
+	keyBuf []Value
+	key    []byte
+	slab   []Value
+	ml, mr []bool
+}
+
+// joinSlabValues sizes the chunks output rows are carved from: one allocation
+// per chunk instead of one per matched pair.
+const joinSlabValues = 512
+
+// emptyRow is the zero-width output row (a join none of whose columns is read
+// above it). Non-nil: aggregation tells "no first row" from a row by nil-ness.
+var emptyRow = []Value{}
 
 // scan probes left rows [lo, hi) against the build index and returns the
 // combined rows that pass every residual, in left-row order. matchedLeft is
 // written only at indices in [lo, hi); matchedRight may be any scratch slice
-// of build-side length (workers pass private ones). Key encoding scratch is
-// local to the call, so concurrent scans over disjoint ranges are safe.
-func (p *joinProbe) scan(leftRows [][]Value, lo, hi int, matchedLeft, matchedRight []bool) ([][]Value, error) {
+// of build-side length (workers pass private ones); either may be nil when
+// the join kind never reads it. sc carries the caller's per-worker scratch
+// (nil: call-local), so concurrent scans over disjoint ranges are safe.
+func (p *joinProbe) scan(leftRows [][]Value, lo, hi int, matchedLeft, matchedRight []bool, sc *probeScratch) ([][]Value, error) {
+	if sc == nil {
+		sc = &probeScratch{}
+	}
+	if len(sc.kvecs) != len(p.keys) {
+		sc.keyBuf = make([]Value, len(p.keys))
+		sc.kvecs = make([]*vector, len(p.keys))
+		for k := range sc.kvecs {
+			sc.kvecs[k] = &vector{}
+		}
+	}
+	// The vectorized probe gathers each key column into a typed vector once
+	// for the whole range and encodes from the slabs; appendRowKeyVecs emits
+	// exactly the bytes AppendRowKey would, so lookups — and therefore the
+	// matches, their order, and every residual evaluation — are identical.
 	if p.vector {
-		return p.scanBatch(leftRows, lo, hi, matchedLeft, matchedRight)
+		sc.sel = sc.sel[:0]
+		for li := lo; li < hi; li++ {
+			sc.sel = append(sc.sel, li)
+		}
+		for k := range p.keys {
+			loadColumn(leftRows, sc.sel, p.keys[k].leftIdx, sc.kvecs[k])
+		}
 	}
-	keyBuf := make([]Value, len(p.keys))
 	leftCol := func(i int) int { return p.keys[i].leftIdx }
-	var keyScratch []byte
-	var out [][]Value
-	for li := lo; li < hi; li++ {
-		kb, null := encodeJoinKey(keyScratch[:0], leftRows[li], leftCol, len(p.keys), keyBuf)
-		keyScratch = kb
-		if null {
-			continue
-		}
-		lr := leftRows[li]
-	probeMatches:
-		for _, ri := range p.index.lookup(keyScratch) {
-			row := make([]Value, 0, p.width)
-			row = append(row, lr...)
-			row = append(row, p.right[ri]...)
-			for _, fn := range p.resFns {
-				v, err := fn(row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.Truthy() {
-					continue probeMatches
-				}
-			}
-			matchedLeft[li] = true
-			matchedRight[ri] = true
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-// scanBatch is scan with the probe-key encoding done columnarly: each key
-// column is gathered into a typed vector once for the whole range, and the
-// per-row encoding reads the slabs instead of re-dispatching on Value kinds.
-// appendRowKeyVecs emits exactly the bytes AppendRowKey would, so the lookup
-// keys — and therefore the matches, their order, and every residual
-// evaluation — are identical to the row-at-a-time scan.
-func (p *joinProbe) scanBatch(leftRows [][]Value, lo, hi int, matchedLeft, matchedRight []bool) ([][]Value, error) {
-	n := hi - lo
-	sel := make([]int, n)
-	for i := range sel {
-		sel[i] = lo + i
-	}
-	kvecs := make([]*vector, len(p.keys))
-	for k := range p.keys {
-		kvecs[k] = &vector{}
-		loadColumn(leftRows, sel, p.keys[k].leftIdx, kvecs[k])
-	}
-	var keyScratch []byte
+	width := p.nLeft + p.nRight
 	var out [][]Value
 rowLoop:
-	for i := 0; i < n; i++ {
-		for _, kv := range kvecs {
-			if kv.null[i] {
-				continue rowLoop // NULL join keys never match
+	for li := lo; li < hi; li++ {
+		lr := leftRows[li]
+		if p.vector {
+			for _, kv := range sc.kvecs {
+				if kv.null[li-lo] {
+					continue rowLoop // NULL join keys never match
+				}
+			}
+			sc.key = appendRowKeyVecs(sc.key[:0], sc.kvecs, li-lo)
+		} else {
+			kb, null := encodeJoinKey(sc.key[:0], lr, leftCol, len(p.keys), sc.keyBuf)
+			sc.key = kb
+			if null {
+				continue
 			}
 		}
-		keyScratch = appendRowKeyVecs(keyScratch[:0], kvecs, i)
-		li := lo + i
-		lr := leftRows[li]
 	probeMatches:
-		for _, ri := range p.index.lookup(keyScratch) {
-			row := make([]Value, 0, p.width)
-			row = append(row, lr...)
-			row = append(row, p.right[ri]...)
+		for _, ri := range p.index.lookup(sc.key) {
+			row := emptyRow
+			if width > 0 {
+				if cap(sc.slab)-len(sc.slab) < width {
+					sc.slab = make([]Value, 0, max(width, joinSlabValues))
+				}
+				off := len(sc.slab)
+				sc.slab = p.combine(sc.slab, lr, p.right[ri])
+				row = sc.slab[off:len(sc.slab):len(sc.slab)]
+			}
 			for _, fn := range p.resFns {
 				v, err := fn(row)
 				if err != nil {
 					return nil, err
 				}
 				if !v.Truthy() {
+					sc.slab = sc.slab[:len(sc.slab)-len(row)]
 					continue probeMatches
 				}
 			}
-			matchedLeft[li] = true
-			matchedRight[ri] = true
+			if matchedLeft != nil {
+				matchedLeft[li] = true
+			}
+			if matchedRight != nil {
+				matchedRight[ri] = true
+			}
 			out = append(out, row)
 		}
 	}
@@ -798,8 +836,8 @@ func (ctx *execContext) join(t *sqlparser.JoinExpr, left, right *relation) (*rel
 		if err != nil {
 			return nil, err
 		}
-		probe := joinProbe{keys: keys, index: index,
-			right: right.rows, resFns: resFns, width: len(cols), vector: ctx.vector}
+		probe := joinProbe{joinLayout: joinLayout{nLeft: len(left.cols), nRight: len(right.cols)},
+			keys: keys, index: index, right: right.rows, resFns: resFns, vector: ctx.vector}
 		spans := morselSpans(len(left.rows), ctx.morsel)
 		if ctx.workers > 1 && len(spans) > 1 && exprsPure(residual) {
 			// Morsel-parallel probe. Each left row belongs to exactly one
@@ -814,7 +852,7 @@ func (ctx *execContext) join(t *sqlparser.JoinExpr, left, right *relation) (*rel
 				if workerRight[w] == nil {
 					workerRight[w] = make([]bool, len(right.rows))
 				}
-				buf, err := probe.scan(left.rows, s.lo, s.hi, matchedLeft, workerRight[w])
+				buf, err := probe.scan(left.rows, s.lo, s.hi, matchedLeft, workerRight[w], nil)
 				if err != nil {
 					return err
 				}
@@ -840,7 +878,7 @@ func (ctx *execContext) join(t *sqlparser.JoinExpr, left, right *relation) (*rel
 				}
 			}
 		} else {
-			rows, err := probe.scan(left.rows, 0, len(left.rows), matchedLeft, matchedRight)
+			rows, err := probe.scan(left.rows, 0, len(left.rows), matchedLeft, matchedRight, nil)
 			if err != nil {
 				return nil, err
 			}

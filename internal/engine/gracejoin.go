@@ -53,9 +53,12 @@ type graceRow struct {
 // graceState carries the join's immutable configuration and accumulates
 // matches across partitions.
 type graceState struct {
-	keys         []equiKey
-	resFns       []evalFn
-	width        int
+	keys   []equiKey
+	resFns []evalFn
+	width  int
+	// keepL/keepR list the columns of a probe/build row an output row
+	// carries (nil: the whole row), as joinProbe's do.
+	keepL, keepR []int
 	matchedLeft  []bool
 	matchedRight []bool
 	out          []graceRow
@@ -147,11 +150,11 @@ func (ctx *execContext) graceNode(level int, build, probe []idxRow, parentBuildL
 	} else {
 		ctx.spill.NoteJoinRecursion(fanout)
 	}
-	buildRuns, err := ctx.gracePartitionSide(build, st.rightCol, len(st.keys), level, fanout)
+	buildRuns, err := ctx.gracePartitionSide(build, st.rightCol, len(st.keys), level, fanout, nil)
 	if err != nil {
 		return err
 	}
-	probeRuns, err := ctx.gracePartitionSide(probe, st.leftCol, len(st.keys), level, fanout)
+	probeRuns, err := ctx.gracePartitionSide(probe, st.leftCol, len(st.keys), level, fanout, nil)
 	if err != nil {
 		return err
 	}
@@ -207,9 +210,7 @@ func (ctx *execContext) graceLeaf(build, probe []idxRow, st *graceState) error {
 		}
 	leafMatches:
 		for _, bi := range index[string(kb)] {
-			row := make([]Value, 0, st.width)
-			row = append(row, pr.row...)
-			row = append(row, build[bi].row...)
+			row := appendKept(appendKept(make([]Value, 0, st.width), pr.row, st.keepL), build[bi].row, st.keepR)
 			for _, fn := range st.resFns {
 				v, err := fn(row)
 				if err != nil {
@@ -234,14 +235,16 @@ func (ctx *execContext) graceLeaf(build, probe []idxRow, st *graceState) error {
 
 // gracePartitionSide hash-partitions one side's rows into fanout spill
 // runs. Rows with NULL join keys are dropped — they can never match, and
-// the matched flags they would never set drive the outer-join padding.
-func (ctx *execContext) gracePartitionSide(rows []idxRow, keyCol func(int) int, nKeys, level, fanout int) ([]*spill.Run, error) {
+// the matched flags they would never set drive the outer-join padding. A
+// non-nil cols narrows each record to those columns of the row.
+func (ctx *execContext) gracePartitionSide(rows []idxRow, keyCol func(int) int, nKeys, level, fanout int, cols []int) ([]*spill.Run, error) {
 	writers, abort, err := ctx.newPartitionWriters(fanout)
 	if err != nil {
 		return nil, err
 	}
 	keyBuf := make([]Value, nKeys)
 	var keyScratch, recScratch []byte
+	var rowScratch []Value
 	for i, r := range rows {
 		if i%ctx.morsel == 0 {
 			if err := ctx.err(); err != nil {
@@ -256,7 +259,8 @@ func (ctx *execContext) gracePartitionSide(rows []idxRow, keyCol func(int) int, 
 		}
 		p := int(graceHash(kb, level) % uint64(fanout))
 		recScratch = binary.AppendUvarint(recScratch[:0], uint64(r.idx))
-		recScratch = AppendRow(recScratch, r.row)
+		rowScratch = appendKept(rowScratch[:0], r.row, cols)
+		recScratch = AppendRow(recScratch, rowScratch)
 		if err := writers[p].Write(recScratch); err != nil {
 			abort()
 			return nil, err

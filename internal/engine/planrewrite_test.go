@@ -1,0 +1,372 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"flexdp/internal/sqlparser"
+)
+
+// Tests for the plan rewrites (planrewrite.go): the streaming executor under a
+// plan must be indistinguishable from the materialized executor, which never
+// sees one — same rows, same order, same error text — and the mechanism
+// (filters below joins, narrowed join output, memoisation, an untouched AST)
+// must be observable through the engine's own profile.
+
+// rewriteTestDB is parallelTestDB (t, u with NULL join keys) plus a third
+// table for join chains.
+func rewriteTestDB(rng *rand.Rand, n int) *DB {
+	db := parallelTestDB(rng, n)
+	db.MustCreateTable("x", []Column{
+		{Name: "w", Type: KindInt},
+		{Name: "tag", Type: KindString},
+	})
+	rows := make([][]Value, 0, 30)
+	for i := 0; i < 30; i++ {
+		w := Value(NewInt(int64(rng.Intn(60))))
+		if i%9 == 0 {
+			w = Null
+		}
+		rows = append(rows, []Value{w, NewString(fmt.Sprintf("tag%d", rng.Intn(4)))})
+	}
+	if err := db.InsertRows("x", rows); err != nil {
+		panic(err)
+	}
+	return db
+}
+
+// rewriteCorpus spans join kind × conjunct source × side, three-way chains,
+// stars, ORDER BY on a non-projected column, ambiguous and unknown references,
+// and non-total conjuncts placed before and after total ones.
+func rewriteCorpus() []string {
+	var qs []string
+	sides := map[string]string{
+		"left":  "t.v > 30",
+		"right": "u.w < 40",
+		"both":  "t.v > 30 AND u.w < 40 AND t.v <> u.w",
+	}
+	for _, kind := range []string{"JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL JOIN"} {
+		for _, side := range []string{"left", "right", "both"} {
+			c := sides[side]
+			qs = append(qs,
+				fmt.Sprintf("SELECT t.v, u.name FROM t %s u ON t.k = u.k WHERE %s", kind, c),
+				fmt.Sprintf("SELECT t.v, u.name FROM t %s u ON t.k = u.k AND %s", kind, c),
+				fmt.Sprintf("SELECT COUNT(*), SUM(t.f) FROM t %s u ON t.k = u.k AND %s WHERE %s", kind, c, c),
+				fmt.Sprintf("SELECT t.s, COUNT(*), AVG(t.f) FROM t %s u ON t.k = u.k WHERE %s GROUP BY t.s", kind, c),
+			)
+		}
+		qs = append(qs,
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k WHERE u.w IS NULL", kind),
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k WHERE t.v IS NOT NULL AND u.name LIKE 'name%%'", kind),
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k WHERE t.s IN ('a', 'b') OR u.w BETWEEN 10 AND 20", kind),
+			fmt.Sprintf("SELECT * FROM t %s u ON t.k = u.k WHERE t.v > 50", kind),
+			fmt.Sprintf("SELECT u.* FROM t %s u ON t.k = u.k WHERE u.w < 30", kind),
+			fmt.Sprintf("SELECT t.s FROM t %s u ON t.k = u.k WHERE t.v > 20 ORDER BY u.w, t.v, t.s", kind),
+			fmt.Sprintf("SELECT t.v FROM t %s u USING (k) WHERE t.v > 40 AND u.w < 50", kind),
+			// Three-way chains: conjuncts for every level, every kind on top.
+			fmt.Sprintf("SELECT COUNT(*) FROM t JOIN u ON t.k = u.k %s x ON u.w = x.w WHERE t.v > 30 AND u.w < 40 AND x.tag = 'tag1'", kind),
+			fmt.Sprintf("SELECT x.tag, COUNT(*), SUM(t.v) FROM t %s u ON t.k = u.k JOIN x ON u.w = x.w AND x.tag <> 'tag0' WHERE t.v > 10 AND u.w > 5 GROUP BY x.tag", kind),
+			fmt.Sprintf("SELECT t.v, x.tag FROM t LEFT JOIN u ON t.k = u.k %s x ON u.w = x.w WHERE t.s = 'a' ORDER BY u.name, 1, 2", kind),
+			// Ambiguous and unknown references, in the WHERE and above it.
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k WHERE k > 2 AND t.v > 10", kind),
+			fmt.Sprintf("SELECT k FROM t %s u ON t.k = u.k WHERE t.v > 10", kind),
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k WHERE t.v > 10 AND u.nope = 1", kind),
+			fmt.Sprintf("SELECT t.nope FROM t %s u ON t.k = u.k WHERE t.v > 10", kind),
+			// Non-total conjuncts before and after a total one.
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k WHERE t.s + 1 > 0 AND u.w < 40", kind),
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k WHERE u.w < 40 AND t.s + 1 > 0", kind),
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k WHERE CAST(u.name AS INT) > 0 AND t.v > 30", kind),
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k WHERE t.v > 30 AND CAST(u.name AS INT) > 0", kind),
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k AND t.v / 0 > 1 WHERE u.w < 40", kind),
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k WHERE t.v > (SELECT AVG(v) FROM t) AND u.w < 40", kind),
+			fmt.Sprintf("SELECT COUNT(*) FROM t %s u ON t.k = u.k WHERE u.w < 40 AND t.v > (SELECT MIN(w) FROM x)", kind),
+		)
+	}
+	return append(qs,
+		"SELECT COUNT(*) FROM t JOIN u ON t.k = u.k WHERE 1 = 0",
+		"SELECT 1, COUNT(*) FROM t JOIN u ON t.k = u.k WHERE t.v > 90",
+		"SELECT t.v FROM t JOIN u ON t.v > u.w AND t.k > 3 WHERE u.w < 10 AND t.s = 'b'",
+		"SELECT COUNT(*) FROM t CROSS JOIN x WHERE t.v > 95 AND x.tag = 'tag2'",
+		"WITH hot AS (SELECT k, w FROM u WHERE w > 20) SELECT COUNT(*), MIN(hot.w) FROM t JOIN hot ON t.k = hot.k WHERE t.v < 50 AND hot.w < 55",
+		"SELECT DISTINCT u.name FROM t JOIN u ON t.k = u.k WHERE t.f > 50.0",
+		"SELECT t.s, COUNT(DISTINCT u.w) FROM t JOIN u ON t.k = u.k WHERE u.w > 10 GROUP BY t.s HAVING COUNT(*) > 1 ORDER BY t.s",
+	)
+}
+
+// TestRewriteMatchesNaive is the optimised-vs-naive differential: every corpus
+// query under the streaming executor (which plans) against the materialized
+// one (which cannot), across workers × morsel size × memory budget, asserting
+// identical rows, row order and error text.
+func TestRewriteMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	db := rewriteTestDB(rng, 70)
+	db.SetTempDir(t.TempDir())
+	base := db.ExecConfig()
+	rewritten := 0
+	for _, sql := range rewriteCorpus() {
+		ref := base
+		ref.MaterializeStages = true
+		ref.Parallelism = 1
+		db.SetExecConfig(ref)
+		want, wantErr := db.Query(sql)
+		for _, workers := range []int{1, 4} {
+			for _, morsel := range []int{2, 0} {
+				for _, budget := range []int64{0, 64 << 10, 512} {
+					cfg := base
+					cfg.Parallelism = workers
+					cfg.MorselSize = morsel
+					cfg.MemoryBudget = budget
+					db.SetExecConfig(cfg)
+					got, err := db.Query(sql)
+					label := fmt.Sprintf("workers=%d morsel=%d budget=%d %s", workers, morsel, budget, sql)
+					if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+						t.Fatalf("%s: error %v, naive plan: %v", label, err, wantErr)
+					}
+					if err != nil {
+						continue
+					}
+					if diff := resultsEqualExact(want, got); diff != "" {
+						t.Fatalf("%s: %s", label, diff)
+					}
+				}
+			}
+		}
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (&execContext{db: db}).planFor(stmt) != nil {
+			rewritten++
+		}
+	}
+	// The corpus must exercise both sides of the totality rule.
+	if rewritten < 40 || rewritten > len(rewriteCorpus())-20 {
+		t.Errorf("%d of %d corpus queries were rewritten; want a healthy share of each", rewritten, len(rewriteCorpus()))
+	}
+}
+
+// TestPlanSelectLegality pins the legality table on a three-way chain.
+func TestPlanSelectLegality(t *testing.T) {
+	db := rewriteTestDB(rand.New(rand.NewSource(1)), 20)
+	ctx := &execContext{db: db}
+	plan := func(sql string) (*sqlparser.SelectStmt, *selectPlan) {
+		t.Helper()
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stmt, ctx.planFor(stmt)
+	}
+	show := func(e sqlparser.Expr) string {
+		if e == nil {
+			return ""
+		}
+		return sqlparser.PrintExpr(e)
+	}
+	cases := []struct {
+		kind                   string
+		where, pushL, pushR    string // of the top join
+		lowerPushL, lowerPushR string // of the bottom join
+	}{
+		// t.v > 1 reaches t through both joins; x.tag stops at x.
+		{"JOIN", "", "u.w < 9", "x.tag = 'a'", "t.v > 1", ""},
+		{"LEFT JOIN", "x.tag = 'a'", "u.w < 9", "", "t.v > 1", ""},
+		{"RIGHT JOIN", "t.v > 1 AND u.w < 9", "", "x.tag = 'a'", "", ""},
+		{"FULL JOIN", "t.v > 1 AND u.w < 9 AND x.tag = 'a'", "", "", "", ""},
+	}
+	for _, c := range cases {
+		stmt, sp := plan(fmt.Sprintf(
+			"SELECT COUNT(*) FROM t LEFT JOIN u ON t.k = u.k %s x ON u.w = x.w WHERE t.v > 1 AND u.w < 9 AND x.tag = 'a'", c.kind))
+		if sp == nil {
+			t.Fatalf("%s: no plan", c.kind)
+		}
+		top := stmt.From[0].(*sqlparser.JoinExpr)
+		tp, lp := sp.join(top), sp.join(top.Left.(*sqlparser.JoinExpr))
+		got := []string{show(sp.where), show(tp.pushLeft), show(tp.pushRight), show(lp.pushLeft), show(lp.pushRight)}
+		want := []string{c.where, c.pushL, c.pushR, c.lowerPushL, c.lowerPushR}
+		for i := range want {
+			if strings.NewReplacer("(", "", ")", "").Replace(got[i]) != want[i] {
+				t.Errorf("%s: slot %d = %q, want %q (all: %q)", c.kind, i, got[i], want[i], got)
+			}
+		}
+	}
+
+	// Single-side ON conjuncts move below INNER only, and leave the residuals.
+	stmt, sp := plan("SELECT COUNT(*) FROM t JOIN u ON t.k = u.k AND u.w < 9 AND t.v > 1")
+	jp := sp.join(stmt.From[0].(*sqlparser.JoinExpr))
+	if show(jp.pushLeft) != "(t.v > 1)" || show(jp.pushRight) != "(u.w < 9)" || len(jp.onPushed) != 2 {
+		t.Errorf("inner ON: pushLeft=%q pushRight=%q onPushed=%d", show(jp.pushLeft), show(jp.pushRight), len(jp.onPushed))
+	}
+	stmt, sp = plan("SELECT COUNT(*) FROM t LEFT JOIN u ON t.k = u.k AND u.w < 9 AND t.v > 1")
+	jp = sp.join(stmt.From[0].(*sqlparser.JoinExpr))
+	if jp.pushLeft != nil || jp.pushRight != nil || jp.onPushed != nil {
+		t.Errorf("left-join ON conjuncts moved: %+v", jp)
+	}
+	// COUNT(*) reads nothing above the join; only the residuals' columns survive.
+	if jp.keep == nil || len(jp.keep) != 2 { // u.w and t.v
+		t.Errorf("left join keep = %v, want the two residual columns", jp.keep)
+	}
+	// Shapes the planner leaves alone.
+	for _, sql := range []string{
+		"SELECT COUNT(*) FROM t WHERE v > 1",
+		"SELECT COUNT(*) FROM t, u WHERE t.k = u.k",
+		"SELECT COUNT(*) FROM t JOIN (SELECT k FROM u) d ON t.k = d.k WHERE t.v > 1",
+		"SELECT COUNT(*) FROM t JOIN u ON t.k = u.k WHERE t.v + 1 > 1",
+		"SELECT COUNT(*) FROM t JOIN u ON t.k = u.k WHERE -t.v < 1",
+		"SELECT COUNT(*) FROM t JOIN u ON t.k = u.k WHERE LOWER(t.s) = 'a'",
+		"SELECT COUNT(*) FROM t JOIN u ON t.k = u.k WHERE k = 1",
+		"SELECT COUNT(*) FROM t JOIN nope ON t.k = nope.k WHERE t.v > 1",
+	} {
+		if _, sp := plan(sql); sp != nil {
+			t.Errorf("%s: planned, want the empty plan", sql)
+		}
+	}
+}
+
+// manyToManyDB mirrors the Table-2 many-to-many template: both sides repeat
+// the join key, and the WHERE keeps one city in forty.
+func manyToManyDB(trips int) *DB {
+	db := NewDB()
+	db.MustCreateTable("trips", []Column{
+		{Name: "id", Type: KindInt}, {Name: "city_id", Type: KindInt},
+		{Name: "day", Type: KindInt}, {Name: "fare", Type: KindFloat},
+	})
+	db.MustCreateTable("user_tags", []Column{
+		{Name: "user_id", Type: KindInt}, {Name: "day", Type: KindInt}, {Name: "tag", Type: KindString},
+	})
+	rows := make([][]Value, trips)
+	for i := range rows {
+		rows[i] = []Value{NewInt(int64(i)), NewInt(int64(i % 40)), NewInt(int64(i % 30)), NewFloat(float64(i%17) + 0.5)}
+	}
+	tags := make([][]Value, 300)
+	for i := range tags {
+		tags[i] = []Value{NewInt(int64(i)), NewInt(int64(i % 30)), NewString("t")}
+	}
+	if err := db.InsertRows("trips", rows); err != nil {
+		panic(err)
+	}
+	if err := db.InsertRows("user_tags", tags); err != nil {
+		panic(err)
+	}
+	return db
+}
+
+// emptyPlan is the plan that rewrites nothing: today's behaviour before this
+// file existed, through the same executor code.
+func emptyPlan(stmt *sqlparser.SelectStmt) *selectPlan { return &selectPlan{where: stmt.Where} }
+
+// TestRewriteMechanism observes the rewrite through ExecConfig.Profile: the
+// pushed filter sees every trips row and precedes the join, the join's output
+// falls at least tenfold against the empty plan, the compiled-closure cache
+// stops growing after the first execution, and the shared AST is never
+// mutated.
+func TestRewriteMechanism(t *testing.T) {
+	const trips = 4000
+	db := manyToManyDB(trips)
+	db.SetMemoryBudget(0) // the in-memory operators, whatever budget the test leg forces
+	const sql = "SELECT COUNT(*) FROM trips t JOIN user_tags g ON t.day = g.day WHERE t.city_id = 7"
+	profiled := func(pq *PreparedQuery) (*ResultSet, *QueryProfile) {
+		t.Helper()
+		cfg := db.ExecConfig()
+		var prof QueryProfile
+		cfg.Profile = &prof
+		rs, err := pq.ExecContextConfig(t.Context(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs, &prof
+	}
+	op := func(p *QueryProfile, name string) (int, OpProfile) {
+		for i, o := range p.Operators {
+			if o.Name == name {
+				return i, o
+			}
+		}
+		t.Fatalf("no %s operator in %+v", name, p.Operators)
+		return 0, OpProfile{}
+	}
+
+	naive, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive.plansFor(db.Version()).sp[naive.stmt] = emptyPlan(naive.stmt)
+	wantRows, naiveProf := profiled(naive)
+
+	pq, err := db.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sqlparser.Print(pq.stmt)
+	gotRows, prof := profiled(pq)
+	if diff := resultsEqualExact(wantRows, gotRows); diff != "" {
+		t.Fatalf("rewritten result differs from the empty plan's: %s", diff)
+	}
+	fi, filter := op(prof, "filter")
+	ji, join := op(prof, "hash_join")
+	_, naiveJoin := op(naiveProf, "hash_join")
+	if filter.RowsIn != trips || fi > ji || filter.Detail != "pushed=t" {
+		t.Errorf("pushed filter: %+v at %d, join at %d; want rows_in=%d before the join", filter, fi, ji, trips)
+	}
+	if join.RowsOut*10 > naiveJoin.RowsOut || join.RowsOut == 0 {
+		t.Errorf("hash_join rows_out %d vs %d under the empty plan: want a ≥10× fall", join.RowsOut, naiveJoin.RowsOut)
+	}
+	if join.Detail != "build_rows=300/300 keep=0/7" || naiveJoin.Detail != "build_rows=300/300 keep=7/7" {
+		t.Errorf("join details %q / %q", join.Detail, naiveJoin.Detail)
+	}
+
+	plans := pq.plansFor(db.Version())
+	size, batch := plans.size(), len(plans.mb)
+	for i := 0; i < 3; i++ {
+		if _, err := pq.Exec(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plans.size() != size || len(plans.mb) != batch || len(plans.sp) != 1 {
+		t.Errorf("plan cache grew across executions: closures %d→%d, kernels %d→%d, plans %d",
+			size, plans.size(), batch, len(plans.mb), len(plans.sp))
+	}
+	if after := sqlparser.Print(pq.stmt); after != before {
+		t.Errorf("Exec mutated the shared AST:\n%s\n%s", before, after)
+	}
+}
+
+// TestPlanJoinFreeAllocatesNothing: the statements that dominate the hot
+// serving path have no join, and planning them must cost nothing.
+func TestPlanJoinFreeAllocatesNothing(t *testing.T) {
+	db := manyToManyDB(10)
+	stmt, err := sqlparser.Parse("SELECT city_id, COUNT(*) FROM trips WHERE day > 3 GROUP BY city_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &execContext{db: db, plans: newPlanCache()}
+	if n := testing.AllocsPerRun(100, func() {
+		if ctx.planFor(stmt) != nil {
+			t.Fatal("join-free statement was planned")
+		}
+	}); n != 0 {
+		t.Errorf("planning a join-free statement allocates %v times", n)
+	}
+}
+
+// TestGroupKeyLookupDoesNotAllocatePerRow pins the grouped-aggregation fix:
+// the group-key string is materialized once per group, not once per row.
+func TestGroupKeyLookupDoesNotAllocatePerRow(t *testing.T) {
+	const trips = 20000
+	db := manyToManyDB(trips)
+	db.SetMemoryBudget(0) // the in-memory aggregation, whatever budget the test leg forces
+	db.SetParallelism(1)
+	pq, err := db.Prepare("SELECT city_id, COUNT(*) FROM trips GROUP BY city_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := pq.Exec(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > trips/4 {
+		t.Errorf("grouped COUNT(*) over %d rows allocates %v times: per-row key strings are back", trips, n)
+	}
+}

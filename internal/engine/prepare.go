@@ -34,10 +34,43 @@ type planCache struct {
 	mu sync.RWMutex
 	m  map[planKey]evalFn
 	mb map[planKey]batchExpr
+	// sp memoizes the plan rewrite of each SELECT body with a join (nil
+	// entries included: "nothing to rewrite" is also worth remembering).
+	sp map[*sqlparser.SelectStmt]*selectPlan
 }
 
 func newPlanCache() *planCache {
-	return &planCache{m: make(map[planKey]evalFn), mb: make(map[planKey]batchExpr)}
+	return &planCache{m: make(map[planKey]evalFn), mb: make(map[planKey]batchExpr),
+		sp: make(map[*sqlparser.SelectStmt]*selectPlan)}
+}
+
+// planFor returns the SELECT body's plan rewrite, memoized with the prepared
+// statement's other compiled state: leaf schemas, and with them the plan, can
+// only change when the database version does.
+func (ctx *execContext) planFor(stmt *sqlparser.SelectStmt) *selectPlan {
+	if joinRoot(stmt) == nil {
+		return nil // before anything allocates: most statements have no join
+	}
+	schema := func(t *sqlparser.TableName) ([]relCol, bool) {
+		rel, err := ctx.buildTableExpr(t)
+		if err != nil {
+			return nil, false
+		}
+		return rel.cols, true
+	}
+	if ctx.plans == nil {
+		return planSelect(stmt, schema)
+	}
+	ctx.plans.mu.RLock()
+	sp, ok := ctx.plans.sp[stmt]
+	ctx.plans.mu.RUnlock()
+	if !ok {
+		sp = planSelect(stmt, schema)
+		ctx.plans.mu.Lock()
+		ctx.plans.sp[stmt] = sp
+		ctx.plans.mu.Unlock()
+	}
+	return sp
 }
 
 func (p *planCache) get(e sqlparser.Expr, sig string) (evalFn, bool) {

@@ -145,7 +145,7 @@ func TestExplainAnalyzeRendersMeasuredProfile(t *testing.T) {
 	for _, want := range []string{
 		"streaming=true",
 		fmt.Sprintf("scan(fact): rows_in=0 rows_out=%d", factRows),
-		"grace_join(build_rows=200):",
+		"grace_join(build_rows=200/200 keep=2/4):", // nothing filtered; fact.v and dim.name survive
 		fmt.Sprintf("rows_in=%d rows_out=%d", factRows, factRows),
 		"aggregate_spill: ",
 		fmt.Sprintf("spilled_bytes=%d", delta.SpilledBytes),

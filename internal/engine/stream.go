@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -676,20 +677,18 @@ func (f *filterOp) apply(ctx *execContext, w int, m morsel) (morsel, error) {
 // per morsel and emit in morsel order, then unmatched right rows, exactly the
 // [matches..., left pads..., right pads...] order of the materialized join.
 type hashJoinOp struct {
-	kind       sqlparser.JoinKind
 	probe      joinProbe
 	rightRows  [][]Value
-	nLeftCols  int
-	nRightCols int
 	resPure    bool
+	padL, padR bool // the outer sides: which matched flags exist at all
 
-	workerRight [][]bool
-	padMu       sync.Mutex
-	padBufs     map[int][][]Value
+	scratch []probeScratch // per worker
+	padMu   sync.Mutex
+	padBufs map[int][][]Value
 }
 
 func (o *hashJoinOp) bind(n int) {
-	o.workerRight = make([][]bool, n)
+	o.scratch = make([]probeScratch, n)
 	o.padBufs = make(map[int][][]Value)
 }
 
@@ -700,35 +699,38 @@ func (o *hashJoinOp) abort()     {}
 
 func (o *hashJoinOp) apply(ctx *execContext, w int, m morsel) (morsel, error) {
 	rows := m.dense()
-	mr := o.workerRight[w]
-	if mr == nil {
-		mr = make([]bool, len(o.rightRows))
-		o.workerRight[w] = mr
+	sc := &o.scratch[w]
+	var ml []bool
+	if o.padL {
+		if cap(sc.ml) < len(rows) {
+			sc.ml = make([]bool, len(rows))
+		}
+		ml = sc.ml[:len(rows)]
+		clear(ml)
 	}
-	ml := make([]bool, len(rows))
-	out, err := o.probe.scan(rows, 0, len(rows), ml, mr)
+	if o.padR && sc.mr == nil {
+		sc.mr = make([]bool, len(o.rightRows))
+	}
+	out, err := o.probe.scan(rows, 0, len(rows), ml, sc.mr, sc)
 	if err != nil {
 		return morsel{}, err
 	}
-	if o.kind == sqlparser.JoinLeft || o.kind == sqlparser.JoinFull {
-		var unmatched [][]Value
-		for i, hit := range ml {
-			if !hit {
-				unmatched = append(unmatched, rows[i])
-			}
+	var unmatched [][]Value
+	for i, hit := range ml {
+		if !hit {
+			unmatched = append(unmatched, rows[i])
 		}
-		if len(unmatched) > 0 {
-			o.padMu.Lock()
-			o.padBufs[m.seq] = unmatched
-			o.padMu.Unlock()
-		}
+	}
+	if len(unmatched) > 0 {
+		o.padMu.Lock()
+		o.padBufs[m.seq] = unmatched
+		o.padMu.Unlock()
 	}
 	return morsel{seq: m.seq, rows: out}, nil
 }
 
 func (o *hashJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
-	width := o.nLeftCols + o.nRightCols
-	if o.kind == sqlparser.JoinLeft || o.kind == sqlparser.JoinFull {
+	if o.padL {
 		seqs := make([]int, 0, len(o.padBufs))
 		for s := range o.padBufs {
 			seqs = append(seqs, s)
@@ -743,22 +745,17 @@ func (o *hashJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 			src := o.padBufs[s]
 			rows := make([][]Value, 0, len(src))
 			for _, lr := range src {
-				row := make([]Value, 0, width)
-				row = append(row, lr...)
-				for i := 0; i < o.nRightCols; i++ {
-					row = append(row, Null)
-				}
-				rows = append(rows, row)
+				rows = append(rows, o.probe.pad(lr, true))
 			}
 			if err := emit(morsel{rows: rows}); err != nil {
 				return err
 			}
 		}
 	}
-	if o.kind == sqlparser.JoinRight || o.kind == sqlparser.JoinFull {
+	if o.padR {
 		matchedRight := make([]bool, len(o.rightRows))
-		for _, mr := range o.workerRight {
-			for ri, hit := range mr {
+		for i := range o.scratch {
+			for ri, hit := range o.scratch[i].mr {
 				if hit {
 					matchedRight[ri] = true
 				}
@@ -766,15 +763,9 @@ func (o *hashJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 		}
 		var rows [][]Value
 		for ri, hit := range matchedRight {
-			if hit {
-				continue
+			if !hit {
+				rows = append(rows, o.probe.pad(o.rightRows[ri], false))
 			}
-			row := make([]Value, 0, width)
-			for i := 0; i < o.nLeftCols; i++ {
-				row = append(row, Null)
-			}
-			row = append(row, o.rightRows[ri]...)
-			rows = append(rows, row)
 		}
 		if len(rows) > 0 {
 			if err := emit(morsel{rows: rows}); err != nil {
@@ -793,12 +784,12 @@ func (o *hashJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 // the shared graceNode recursion and emits matches (restored to serial probe
 // order) then outer pads.
 type graceJoinOp struct {
-	kind       sqlparser.JoinKind
-	keys       []equiKey
-	resFns     []evalFn
-	rightRows  [][]Value
-	nLeftCols  int
-	nRightCols int
+	kind      sqlparser.JoinKind
+	keys      []equiKey
+	st        *graceState // keys, kept columns and residuals as the spilled records see them
+	rightRows [][]Value
+	out       joinLayout // the output row over full input rows (outer padding)
+	leftCols  []int      // the columns a probe record carries; nil for all
 
 	fanout    int
 	buildRuns []*spill.Run
@@ -808,21 +799,49 @@ type graceJoinOp struct {
 
 	keepLeft bool      // Left/Full: retain probe rows for padding
 	padRows  [][]Value // retained probe rows (keepLeft only)
-	nLeft    int       // probe rows seen (absolute left index counter)
+	nProbe   int       // probe rows seen (absolute left index counter)
 
 	keyBuf     []Value
 	keyScratch []byte
 	recScratch []byte
+	rowScratch []Value
+}
+
+// graceRecordCols lists the columns one side's Grace records carry under a
+// keep-list — the join keys first, then the kept columns — and returns the
+// keep-list as positions in such a record. Without a keep-list (nil, nil)
+// records carry the whole row.
+func graceRecordCols(keyCol func(int) int, nKeys int, keep []int) (cols, recKeep []int) {
+	for i := 0; i < nKeys; i++ {
+		cols = append(cols, keyCol(i))
+	}
+	recKeep = make([]int, len(keep))
+	for i, c := range keep {
+		cols, recKeep[i] = append(cols, c), nKeys+i
+	}
+	return cols, recKeep
 }
 
 // newGraceJoinOp partitions the build side and opens the probe partition
 // writers, mirroring the materialized grace root's level-0 work and stats.
-func (ctx *execContext) newGraceJoinOp(kind sqlparser.JoinKind, keys []equiKey,
-	resFns []evalFn, right *relation, nLeftCols int) (*graceJoinOp, error) {
-	o := &graceJoinOp{kind: kind, keys: keys, resFns: resFns, rightRows: right.rows,
-		nLeftCols: nLeftCols, nRightCols: len(right.cols),
+// With keep-lists the records of both sides are narrowed to key + kept
+// columns, and the partition joins below level 0 run over those records.
+func (ctx *execContext) newGraceJoinOp(kind sqlparser.JoinKind, probe joinProbe, right *relation) (*graceJoinOp, error) {
+	keys := probe.keys
+	o := &graceJoinOp{kind: kind, keys: keys, rightRows: right.rows, out: probe.joinLayout,
 		keepLeft: kind == sqlparser.JoinLeft || kind == sqlparser.JoinFull,
 		keyBuf:   make([]Value, len(keys))}
+	o.st = &graceState{keys: keys, resFns: probe.resFns, width: probe.nLeft + probe.nRight}
+	var rightCols []int
+	if probe.keepL != nil {
+		recKeys := make([]equiKey, len(keys))
+		for i := range recKeys {
+			recKeys[i] = equiKey{leftIdx: i, rightIdx: i}
+		}
+		o.st.keys = recKeys
+		o.leftCols, o.st.keepL = graceRecordCols(o.leftCol, len(keys), probe.keepL)
+		rightCols, o.st.keepR = graceRecordCols(o.rightCol, len(keys), probe.keepR)
+	}
 	build := make([]idxRow, len(right.rows))
 	for i, r := range right.rows {
 		if i%ctx.morsel == 0 {
@@ -835,7 +854,7 @@ func (ctx *execContext) newGraceJoinOp(kind sqlparser.JoinKind, keys []equiKey,
 	o.fanout = graceFanout(estIdxRowsBytes(build), ctx.spill.Budget())
 	ctx.spill.NoteJoinSpill(o.fanout)
 	ctx.pstats.breaker(0) // partitioned build state lives on disk
-	buildRuns, err := ctx.gracePartitionSide(build, o.rightCol, len(keys), 0, o.fanout)
+	buildRuns, err := ctx.gracePartitionSide(build, o.rightCol, len(keys), 0, o.fanout, rightCols)
 	if err != nil {
 		return nil, err
 	}
@@ -874,8 +893,8 @@ func (o *graceJoinOp) abort() {
 
 func (o *graceJoinOp) apply(ctx *execContext, _ int, m morsel) (morsel, error) {
 	for _, lr := range m.dense() {
-		idx := o.nLeft
-		o.nLeft++
+		idx := o.nProbe
+		o.nProbe++
 		if o.keepLeft {
 			o.padRows = append(o.padRows, lr)
 		}
@@ -886,7 +905,8 @@ func (o *graceJoinOp) apply(ctx *execContext, _ int, m morsel) (morsel, error) {
 		}
 		p := int(graceHash(kb, 0) % uint64(o.fanout))
 		o.recScratch = binary.AppendUvarint(o.recScratch[:0], uint64(idx))
-		o.recScratch = AppendRow(o.recScratch, lr)
+		o.rowScratch = appendKept(o.rowScratch[:0], lr, o.leftCols)
+		o.recScratch = AppendRow(o.recScratch, o.rowScratch)
 		if err := o.writers[p].Write(o.recScratch); err != nil {
 			return morsel{}, err
 		}
@@ -906,10 +926,9 @@ func (o *graceJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 		}
 		return err
 	}
-	width := o.nLeftCols + o.nRightCols
-	st := &graceState{keys: o.keys, resFns: o.resFns, width: width,
-		matchedLeft:  make([]bool, o.nLeft),
-		matchedRight: make([]bool, len(o.rightRows))}
+	st := o.st
+	st.matchedLeft = make([]bool, o.nProbe)
+	st.matchedRight = make([]bool, len(o.rightRows))
 	for p := 0; p < o.fanout; p++ {
 		if o.buildRuns[p].Records == 0 || probeRuns[p].Records == 0 {
 			o.buildRuns[p].Release()
@@ -935,7 +954,7 @@ func (o *graceJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 	// so the stable sort on left index restores the serial probe emit order.
 	sort.SliceStable(st.out, func(a, b int) bool { return st.out[a].li < st.out[b].li })
 	ctx.pstats.breaker(0) // sorted match buffer materialized before emission
-	chunk := ctx.spanSize(width)
+	chunk := ctx.spanSize(st.width)
 	for lo := 0; lo < len(st.out); lo += chunk {
 		hi := lo + chunk
 		if hi > len(st.out) {
@@ -961,12 +980,7 @@ func (o *graceJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 			if st.matchedLeft[li] {
 				continue
 			}
-			row := make([]Value, 0, width)
-			row = append(row, lr...)
-			for i := 0; i < o.nRightCols; i++ {
-				row = append(row, Null)
-			}
-			rows = append(rows, row)
+			rows = append(rows, o.out.pad(lr, true))
 		}
 		if len(rows) > 0 {
 			if err := emit(morsel{rows: rows}); err != nil {
@@ -980,12 +994,7 @@ func (o *graceJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 			if hit {
 				continue
 			}
-			row := make([]Value, 0, width)
-			for i := 0; i < o.nLeftCols; i++ {
-				row = append(row, Null)
-			}
-			row = append(row, o.rightRows[ri]...)
-			rows = append(rows, row)
+			rows = append(rows, o.out.pad(o.rightRows[ri], false))
 		}
 		if len(rows) > 0 {
 			if err := emit(morsel{rows: rows}); err != nil {
@@ -998,14 +1007,15 @@ func (o *graceJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 
 // ---- FROM-clause pipeline construction ----
 
-// buildFromPipeline evaluates the FROM clause into a streaming pipeline. The
-// common single-item forms stream; the cross-join chain of a multi-item FROM
-// materializes pairwise exactly as the materialized executor does.
-func (ctx *execContext) buildFromPipeline(items []sqlparser.TableExpr) (*pipeline, error) {
+// buildFromPipeline evaluates the FROM clause into a streaming pipeline under
+// the SELECT body's plan. The common single-item forms stream; the cross-join
+// chain of a multi-item FROM materializes pairwise exactly as the materialized
+// executor does.
+func (ctx *execContext) buildFromPipeline(items []sqlparser.TableExpr, plan *selectPlan) (*pipeline, error) {
 	if len(items) == 0 {
 		return ctx.scanPipeline(&relation{rows: [][]Value{{}}}), nil
 	}
-	p, err := ctx.buildTablePipeline(items[0])
+	p, err := ctx.buildTablePipeline(items[0], plan)
 	if err != nil {
 		return nil, err
 	}
@@ -1031,8 +1041,10 @@ func (ctx *execContext) buildFromPipeline(items []sqlparser.TableExpr) (*pipelin
 // streaming probe operators over the left side's pipeline (the right side —
 // the build side — materializes, as the hash join requires), everything else
 // is a materialized scan (tables already are; CTEs and subqueries evaluate
-// eagerly, exactly as before).
-func (ctx *execContext) buildTablePipeline(te sqlparser.TableExpr) (*pipeline, error) {
+// eagerly, exactly as before). Conjuncts the plan pushed below a join run as
+// an ordinary filter on the probe pipeline and as a row-reference selection
+// of the build relation, before the join sees either input.
+func (ctx *execContext) buildTablePipeline(te sqlparser.TableExpr, plan *selectPlan) (*pipeline, error) {
 	t, ok := te.(*sqlparser.JoinExpr)
 	if !ok {
 		rel, err := ctx.buildTableExpr(te)
@@ -1041,7 +1053,7 @@ func (ctx *execContext) buildTablePipeline(te sqlparser.TableExpr) (*pipeline, e
 		}
 		return ctx.scanPipeline(rel), nil
 	}
-	p, err := ctx.buildTablePipeline(t.Left)
+	p, err := ctx.buildTablePipeline(t.Left, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -1049,15 +1061,59 @@ func (ctx *execContext) buildTablePipeline(te sqlparser.TableExpr) (*pipeline, e
 	if err != nil {
 		return nil, err
 	}
-	return ctx.pushJoin(p, t, right)
+	jp := plan.join(t)
+	buildRows := len(right.rows)
+	if jp.pushLeft != nil {
+		if err := ctx.pushFilter(p, jp.pushLeft, "pushed="+scanDetail(p.rel)); err != nil {
+			return nil, err
+		}
+	}
+	if jp.pushRight != nil {
+		if right, err = ctx.filterRelation(right, jp.pushRight); err != nil {
+			return nil, err
+		}
+	}
+	return ctx.pushJoin(p, t, right, jp, buildRows)
+}
+
+// pushFilter appends the filter operator for pred to the pipeline.
+func (ctx *execContext) pushFilter(p *pipeline, pred sqlparser.Expr, detail string) error {
+	f, err := ctx.newFilterOp(p.rel, pred)
+	if err != nil {
+		return err
+	}
+	p.push(ctx.traceOp("filter", detail, f), p.rel)
+	return nil
+}
+
+// filterRelation selects rel's rows passing the pure predicate pred, by
+// reference, exactly as the materialized executor's WHERE step does.
+func (ctx *execContext) filterRelation(rel *relation, pred sqlparser.Expr) (*relation, error) {
+	if ctx.vector {
+		sel, err := ctx.filterSel(rel, compileBatchExpr(rel, ctx, pred))
+		if err != nil {
+			return nil, err
+		}
+		return applySel(rel, sel), nil
+	}
+	fn, err := compileExpr(rel, ctx, pred)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := ctx.filterRows(rel.rows, fn, true)
+	if err != nil {
+		return nil, err
+	}
+	return &relation{cols: rel.cols, rows: rows, idx: rel.idx, sig: rel.sig}, nil
 }
 
 // pushJoin appends the streaming operator for one join, or falls back to the
 // materialized join for shapes the streaming probe does not cover (cross
-// joins, conditions with no equality keys).
-func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *relation) (*pipeline, error) {
+// joins, conditions with no equality keys). jp.keep narrows the streaming
+// join's output to the columns still read above it; buildRows is the build
+// side's cardinality before jp.pushRight filtered it.
+func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *relation, jp joinPlan, buildRows int) (*pipeline, error) {
 	left := p.rel
-	cols := append(append([]relCol{}, left.cols...), right.cols...)
 
 	materialized := func() (*pipeline, error) {
 		rel, err := ctx.materializeStream(p)
@@ -1098,25 +1154,46 @@ func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *rela
 		// Nested-loop fallback: quadratic and possibly subquery-bearing.
 		return materialized()
 	}
+	// ON conjuncts the plan moved below the join no longer need re-checking.
+	residual = slices.DeleteFunc(residual, func(e sqlparser.Expr) bool { return slices.Contains(jp.onPushed, e) })
 
+	// Output layout: the kept columns of each side, in order.
+	probe := joinProbe{joinLayout: joinLayout{nLeft: len(left.cols), nRight: len(right.cols)},
+		keys: keys, right: right.rows, vector: ctx.vector}
+	cols := append(append([]relCol{}, left.cols...), right.cols...)
+	if jp.keep != nil {
+		lay := joinLayout{keepL: []int{}, keepR: []int{}}
+		kept := make([]relCol, len(jp.keep))
+		for i, pos := range jp.keep {
+			kept[i] = cols[pos]
+			if pos < len(left.cols) {
+				lay.keepL = append(lay.keepL, pos)
+			} else {
+				lay.keepR = append(lay.keepR, pos-len(left.cols))
+			}
+		}
+		lay.nLeft, lay.nRight = len(lay.keepL), len(lay.keepR)
+		probe.joinLayout, cols = lay, kept
+	}
 	combined := &relation{cols: cols}
-	resFns := make([]evalFn, len(residual))
+	probe.resFns = make([]evalFn, len(residual))
 	for i, res := range residual {
 		fn, err := compileExpr(combined, ctx, res)
 		if err != nil {
 			return nil, err
 		}
-		resFns[i] = fn
+		probe.resFns[i] = fn
+	}
+	var detail string
+	if ctx.prof != nil {
+		detail = fmt.Sprintf("build_rows=%d/%d keep=%d/%d", len(right.rows), buildRows,
+			len(cols), len(left.cols)+len(right.cols))
 	}
 
 	if ctx.spill.Enabled() && ctx.spill.ShouldSpill(estRowsBytes(right.rows)) {
-		op, err := ctx.newGraceJoinOp(t.Kind, keys, resFns, right, len(left.cols))
+		op, err := ctx.newGraceJoinOp(t.Kind, probe, right)
 		if err != nil {
 			return nil, err
-		}
-		var detail string
-		if ctx.prof != nil {
-			detail = fmt.Sprintf("build_rows=%d", len(right.rows))
 		}
 		p.push(ctx.traceOp("grace_join", detail, op), combined)
 		return p, nil
@@ -1126,16 +1203,11 @@ func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *rela
 	if err != nil {
 		return nil, err
 	}
+	probe.index = index
 	ctx.pstats.breaker(estRowsBytes(right.rows))
-	op := &hashJoinOp{kind: t.Kind,
-		probe: joinProbe{keys: keys, index: index, right: right.rows,
-			resFns: resFns, width: len(cols), vector: ctx.vector},
-		rightRows: right.rows, nLeftCols: len(left.cols), nRightCols: len(right.cols),
-		resPure: exprsPure(residual)}
-	var detail string
-	if ctx.prof != nil {
-		detail = fmt.Sprintf("build_rows=%d", len(right.rows))
-	}
+	op := &hashJoinOp{probe: probe, rightRows: right.rows, resPure: exprsPure(residual),
+		padL: t.Kind == sqlparser.JoinLeft || t.Kind == sqlparser.JoinFull,
+		padR: t.Kind == sqlparser.JoinRight || t.Kind == sqlparser.JoinFull}
 	p.push(ctx.traceOp("hash_join", detail, op), combined)
 	return p, nil
 }
