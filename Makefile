@@ -107,7 +107,7 @@ bench-vector:
 # 512 B so the fault points sit on genuinely out-of-core executions.
 FAULT_RUN_ENGINE = TestSpillFaults|TestCancellation|TestExecuteContext|TestPanicIsolation|TestRunSpansPanic
 FAULT_RUN_FLEX = TestRunContextCancellation|TestSpillFaultRefunds|TestAbortedRuns
-FAULT_RUN_SERVER = TestAdmission|TestClientDisconnect|TestQueryTimeout|TestPanicIsolated|TestBudgetExhaustion|TestHealthzReportsLifecycle
+FAULT_RUN_SERVER = TestAdmission|TestClientDisconnect|TestQueryTimeout|TestPanicIsolated|TestBudgetExhaustion|TestHealthzReportsLifecycle|TestExhaustedAnalyst|TestRefusedRequest|TestOversizeBody
 
 test-faults:
 	$(GO) test -race ./internal/spill/

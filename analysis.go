@@ -27,7 +27,8 @@ type Analysis struct {
 	Polynomials []string
 	// OutputNames are the aggregate output column names in order.
 	OutputNames []string
-	// Elapsed is the wall time of parsing plus analysis.
+	// Elapsed is the wall time of the analysis, including the parse unless
+	// the caller handed over a parsed statement (System.PrepareStmt).
 	Elapsed time.Duration
 
 	query *relalg.Query
@@ -46,6 +47,13 @@ func (s *System) Analyze(sql string) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.analyzeStmt(sql, stmt, start)
+}
+
+// analyzeStmt analyzes a statement already parsed from sql; the Analysis
+// keeps stmt, so whatever executes it runs the AST the analysis lowered.
+// Elapsed is measured from start.
+func (s *System) analyzeStmt(sql string, stmt *sqlparser.SelectStmt, start time.Time) (*Analysis, error) {
 	q, err := relalg.Build(stmt, catalog{eng: s.db.eng})
 	if err != nil {
 		return nil, err

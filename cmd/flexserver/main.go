@@ -168,8 +168,8 @@ func main() {
 		audit = telemetry.NewAuditLogger(f)
 	}
 
-	// The server layer owns all budget accounting (shared pool plus
-	// per-analyst budgets), so the System carries no Options.Budget.
+	// The server passes each request's budget (shared pool or per-analyst)
+	// into the run, so the System needs no Options.Budget.
 	// Queries execute morsel-parallel by default (one worker per CPU);
 	// results are bit-identical at any -parallelism and -memory-budget, so
 	// the flags only trade per-query latency against cross-query throughput

@@ -21,8 +21,8 @@ import (
 func main() {
 	cfg := workload.RideshareConfig{Seed: 4, Cities: 15, Drivers: 300, Users: 800, Trips: 15000, Days: 45}
 	db := flex.WrapEngine(workload.GenerateRideshare(cfg))
-	// The server layer owns budget accounting, so the System is built
-	// without Options.Budget.
+	// The server charges each request to its budget (here the shared
+	// pool), so the System needs no Options.Budget.
 	budget := smooth.NewBudget(2.0, 1e-4)
 	sys := flex.NewSystem(db, flex.Options{Seed: 4})
 	sys.MarkPublic("cities")

@@ -103,8 +103,8 @@ func TestRunContextCancellationRefundsBudget(t *testing.T) {
 			pcancel()
 		}
 	}})
-	if _, err := prep.RunContext(pctx, 0.5, 1e-6); !errors.Is(err, context.Canceled) {
-		t.Fatalf("prepared mid-spill RunContext: %v", err)
+	if _, err := prep.RunRequest(pctx, Request{Epsilon: 0.5, Delta: 1e-6}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("prepared mid-spill RunRequest: %v", err)
 	}
 	requireUncharged(t, budget, "prepared cancellation")
 	requireEmptyDir(t, dir, "prepared cancellation")

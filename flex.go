@@ -371,7 +371,7 @@ type PrivateResult struct {
 // analyze, smooth, execute, perturb. It returns an error for unsupported
 // queries (classified per Section 5.1 — see Classify).
 func (s *System) Run(sql string, epsilon, delta float64) (*PrivateResult, error) {
-	return s.run(context.Background(), sql, epsilon, delta, nil)
+	return s.RunContext(context.Background(), sql, epsilon, delta)
 }
 
 // RunContext is Run under a cancellation context: cancellation or deadline
@@ -380,7 +380,7 @@ func (s *System) Run(sql string, epsilon, delta float64) (*PrivateResult, error)
 // context.DeadlineExceeded holds). An aborted query releases nothing, so its
 // privacy budget is refunded — only released answers cost budget.
 func (s *System) RunContext(ctx context.Context, sql string, epsilon, delta float64) (*PrivateResult, error) {
-	return s.run(ctx, sql, epsilon, delta, nil)
+	return (&Prepared{sys: s, sql: sql}).run(ctx, Request{Epsilon: epsilon, Delta: delta})
 }
 
 // RunWithBins answers a histogram query using analyst-supplied bin labels,
@@ -388,101 +388,18 @@ func (s *System) RunContext(ctx context.Context, sql string, epsilon, delta floa
 // exactly the provided bins are released, zero-filled when absent from the
 // true result, so the output shape is independent of the data.
 func (s *System) RunWithBins(sql string, epsilon, delta float64, bins []any) (*PrivateResult, error) {
-	if len(bins) == 0 {
-		return nil, errNoBins
-	}
-	return s.run(context.Background(), sql, epsilon, delta, bins)
-}
-
-// RunWithBinsContext is RunWithBins under a cancellation context (see
-// RunContext).
-func (s *System) RunWithBinsContext(ctx context.Context, sql string, epsilon, delta float64, bins []any) (*PrivateResult, error) {
-	if len(bins) == 0 {
-		return nil, errNoBins
-	}
-	return s.run(ctx, sql, epsilon, delta, bins)
+	return (&Prepared{sys: s, sql: sql}).RunWithBins(epsilon, delta, bins)
 }
 
 var errNoBins = fmt.Errorf("flex: RunWithBins requires at least one bin label")
 
-func (s *System) run(ctx context.Context, sql string, epsilon, delta float64, analystBins []any) (*PrivateResult, error) {
-	p := smooth.PrivacyParams{Epsilon: epsilon, Delta: delta}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := s.refreshIfStale(); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	analysis, err := s.Analyze(sql)
-	if err != nil {
-		return nil, err
-	}
-	// Budget admission and noise-stream forking happen after analysis, so a
-	// rejected query neither consumes budget nor burns a call number — and
-	// the prepared path (which fails invalid queries at Prepare) charges and
-	// forks in exactly the same order. Failures past this point answered
-	// nothing, so the charge is refunded: budget tracks released answers, not
-	// attempts. (The call number stays burned — the noise stream must not
-	// depend on which executions aborted.)
-	if s.opts.Budget != nil {
-		if err := s.opts.Budget.Spend(epsilon, delta); err != nil {
-			return nil, err
-		}
-	}
-	sampler := s.forkSampler()
-	refund := func() {
-		if s.opts.Budget != nil {
-			s.opts.Budget.Refund(epsilon, delta)
-		}
-	}
-	an := s.analyzer()
-	sensAt := func(k int) ([]float64, error) { return an.SensitivityAt(analysis.query, k) }
-	bounds, err := computeBounds(sensAt, analysis, s.db.TotalRows(), p, s.opts.NoiseMode)
-	if err != nil {
-		refund()
-		return nil, err
-	}
-	analysisTime := time.Since(t0)
-
-	t1 := time.Now()
-	rs, err := s.db.eng.QueryContext(ctx, sql)
-	if err != nil {
-		refund()
-		return nil, err
-	}
-	execTime := time.Since(t1)
-
-	t2 := time.Now()
-	out, err := s.perturb(analysis, rs, bounds, epsilon, analystBins, sampler)
-	if err != nil {
-		refund()
-		return nil, err
-	}
-	out.Analysis = analysis
-	out.AnalysisTime = analysisTime
-	out.ExecTime = execTime
-	out.PerturbTime = time.Since(t2)
-	return out, nil
-}
-
-// forkSampler numbers this call and forks its private noise stream. Both
-// the one-shot and the prepared path fork at the same point — right after
-// budget admission — so a prepared query replays exactly the noise the
-// unprepared path would have drawn for the same seed and call sequence.
-func (s *System) forkSampler() *smooth.Sampler {
-	return s.mech.Fork(s.calls.Add(1))
-}
-
 // computeBounds evaluates the per-output noise bounds for an analyzed query:
 // Definition 7 smoothing by default, or the paper-evaluation Ŝ(0) scaling
-// under ModeLocalK0. sensAt supplies Ŝ^(k) vectors — either a direct
-// analyzer walk (System.Run) or a memoized cache (Prepared.Run); both yield
-// bit-identical bounds.
-func computeBounds(sensAt func(int) ([]float64, error), analysis *Analysis, n int, p smooth.PrivacyParams, mode NoiseMode) ([]smooth.Smoothed, error) {
+// under ModeLocalK0.
+func computeBounds(an *core.Analyzer, analysis *Analysis, n int, p smooth.PrivacyParams, mode NoiseMode) ([]smooth.Smoothed, error) {
 	bounds := make([]smooth.Smoothed, len(analysis.query.Outputs))
 	if mode == ModeLocalK0 {
-		ss, err := sensAt(0)
+		ss, err := an.SensitivityAt(analysis.query, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -492,21 +409,24 @@ func computeBounds(sensAt func(int) ([]float64, error), analysis *Analysis, n in
 		return bounds, nil
 	}
 	for i := range bounds {
-		idx := i
-		fn := func(k int) (float64, error) {
-			ss, err := sensAt(k)
-			if err != nil {
-				return 0, err
-			}
-			return ss[idx], nil
-		}
-		sm, err := smooth.SmoothWithCutoff(fn, analysis.Degree, n, p)
-		if err != nil {
+		var err error
+		if bounds[i], err = smoothBound(an, analysis, i, n, p); err != nil {
 			return nil, err
 		}
-		bounds[i] = sm
 	}
 	return bounds, nil
+}
+
+// smoothBound is Definition 7 step 2 for one output over a database of n rows.
+func smoothBound(an *core.Analyzer, a *Analysis, output, n int, p smooth.PrivacyParams) (smooth.Smoothed, error) {
+	fn := func(k int) (float64, error) {
+		ss, err := an.SensitivityAt(a.query, k)
+		if err != nil {
+			return 0, err
+		}
+		return ss[output], nil
+	}
+	return smooth.SmoothWithCutoff(fn, a.Degree, n, p)
 }
 
 // Sensitivity helpers on the analyzer, re-exported for tooling.
@@ -520,15 +440,7 @@ func (s *System) SensitivityAt(a *Analysis, k int) ([]float64, error) {
 // SmoothBound computes the smooth upper bound (Definition 7 step 2) for one
 // output of an analyzed query.
 func (s *System) SmoothBound(a *Analysis, output int, p smooth.PrivacyParams) (smooth.Smoothed, error) {
-	an := s.analyzer()
-	fn := func(k int) (float64, error) {
-		ss, err := an.SensitivityAt(a.query, k)
-		if err != nil {
-			return 0, err
-		}
-		return ss[output], nil
-	}
-	return smooth.SmoothWithCutoff(fn, a.Degree, s.db.TotalRows(), p)
+	return smoothBound(s.analyzer(), a, output, s.db.TotalRows(), p)
 }
 
 // Analyzer exposes the elastic-sensitivity analyzer for in-module tooling.

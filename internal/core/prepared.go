@@ -20,6 +20,9 @@ import (
 // the unprepared path. The cache is valid as long as the underlying metrics
 // store contents are unchanged; FLEX rebuilds it whenever the database
 // version moves.
+//
+// Its only remaining caller is bench/e2e/trace.go; flex.Prepared calls
+// Analyzer.SensitivityAt directly.
 type SensitivityCache struct {
 	an *Analyzer
 	q  *relalg.Query

@@ -91,10 +91,17 @@ func (db *DB) ExecuteContext(goctx context.Context, stmt *sqlparser.SelectStmt) 
 // receives the execution's per-operator trace (see QueryProfile). An
 // EXPLAIN ANALYZE statement executes fully and returns the rendered profile
 // as its result set instead of the query's rows.
-func (db *DB) ExecuteContextConfig(goctx context.Context, stmt *sqlparser.SelectStmt, cfg ExecConfig) (rs *ResultSet, err error) {
+func (db *DB) ExecuteContextConfig(goctx context.Context, stmt *sqlparser.SelectStmt, cfg ExecConfig) (*ResultSet, error) {
 	if stmt.Explain {
 		return db.explainAnalyze(goctx, stmt, cfg)
 	}
+	return db.exec(goctx, stmt, cfg, nil)
+}
+
+// exec is the one execution body behind ExecuteContextConfig and
+// PreparedQuery.ExecContextConfig: plans is the prepared statement's plan
+// cache, nil for a one-shot execution (nothing is memoized).
+func (db *DB) exec(goctx context.Context, stmt *sqlparser.SelectStmt, cfg ExecConfig, plans *planCache) (rs *ResultSet, err error) {
 	mgr := cfg.newSpillManager()
 	defer db.finishSpill(mgr)
 	ps := &pipeStats{}
@@ -109,7 +116,8 @@ func (db *DB) ExecuteContextConfig(goctx context.Context, stmt *sqlparser.Select
 		defer prof.fill(cfg.Profile, cfg, mgr, ps)
 	}
 	defer recoverExecPanic(&err)
-	ctx := &execContext{db: db, ctes: make(map[string]*relation), cfg: cfg, pstats: ps,
+	ctx := &execContext{db: db, ctes: make(map[string]*relation), plans: plans,
+		cfg: cfg, pstats: ps,
 		workers: cfg.workers(), morsel: cfg.morsel(),
 		pinned: cfg.morselPinned(), vector: cfg.vectorized(), spill: mgr, goctx: goctx,
 		prof: prof}

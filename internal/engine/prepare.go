@@ -132,6 +132,13 @@ func (db *DB) Prepare(sql string) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
+	return db.PrepareStmt(sql, stmt)
+}
+
+// PrepareStmt is Prepare over a statement the caller already parsed from
+// sql, for front ends that parse once and share the AST between analysis and
+// execution. The statement is shared, never mutated.
+func (db *DB) PrepareStmt(sql string, stmt *sqlparser.SelectStmt) (*PreparedQuery, error) {
 	if stmt.Explain {
 		// A prepared statement is a reusable query; EXPLAIN ANALYZE is a
 		// one-shot diagnostic. Run it through Query/QueryContext instead.
@@ -184,24 +191,6 @@ func (p *PreparedQuery) ExecContext(goctx context.Context) (rs *ResultSet, err e
 // override surface, most importantly cfg.Profile for requesting an
 // execution trace. The cached plans are shared with every other execution
 // of this statement; profiling decorates the pipeline, never the plans.
-func (p *PreparedQuery) ExecContextConfig(goctx context.Context, cfg ExecConfig) (rs *ResultSet, err error) {
-	plans := p.plansFor(p.db.Version())
-	mgr := cfg.newSpillManager()
-	defer p.db.finishSpill(mgr)
-	ps := &pipeStats{}
-	defer p.db.notePipeline(ps)
-	var prof *queryProfiler
-	if cfg.Profile != nil {
-		prof = newQueryProfiler()
-		// Same defer ordering as ExecuteContextConfig: the profile is
-		// filled after panic recovery and before the spill manager retires.
-		defer prof.fill(cfg.Profile, cfg, mgr, ps)
-	}
-	defer recoverExecPanic(&err)
-	ctx := &execContext{db: p.db, ctes: make(map[string]*relation), plans: plans,
-		cfg: cfg, pstats: ps,
-		workers: cfg.workers(), morsel: cfg.morsel(),
-		pinned: cfg.morselPinned(), vector: cfg.vectorized(), spill: mgr, goctx: goctx,
-		prof: prof}
-	return ctx.executeSelect(p.stmt)
+func (p *PreparedQuery) ExecContextConfig(goctx context.Context, cfg ExecConfig) (*ResultSet, error) {
+	return p.db.exec(goctx, p.stmt, cfg, p.plansFor(p.db.Version()))
 }

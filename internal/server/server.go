@@ -18,8 +18,10 @@
 // queue wait, shedding overload as 503 + Retry-After; client disconnects
 // and the optional Config.QueryTimeout cancel the engine mid-morsel; and
 // engine panics are isolated to the offending query's 500 response, never
-// the process. None of these paths charge privacy budget — privacy loss is
-// only ever recorded when a noisy answer is actually released.
+// the process. Budget is charged at admission, before any engine work, so an
+// exhausted analyst is refused without executing anything; every failure
+// after admission refunds the charge, so privacy loss is only ever kept for
+// a noisy answer that is actually released.
 package server
 
 import (
@@ -129,9 +131,6 @@ type Server struct {
 // New returns a server over the system with default cache size and no
 // per-analyst budgets. budget is the shared pool (may be nil — no limit
 // beyond per-query parameters); defaultDelta is used when requests omit δ.
-//
-// The server owns budget accounting: the System should be constructed
-// without Options.Budget, or queries will be charged twice.
 func New(sys *flex.System, budget *smooth.Budget, defaultDelta float64) *Server {
 	return NewWithConfig(sys, budget, Config{DefaultDelta: defaultDelta})
 }
@@ -253,34 +252,23 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// canonicalSQL parses the query and prints it back, so equivalent spellings
-// (whitespace, keyword case) share one cache entry while string literals —
-// which a naive whitespace collapse would corrupt — survive verbatim. The
-// per-request parse costs microseconds against an HTTP round trip; keying on
-// the raw string instead would skip it, but an exact-string front cache
-// grows with client spellings and misses trivially-reformatted repeats.
-func canonicalSQL(sql string) (string, error) {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return "", err
-	}
-	return sqlparser.Print(stmt), nil
-}
-
 // preparedFor returns the prepared query for sql (with its cache key), from
-// cache or freshly prepared. Staleness is not checked here: Prepared.Run
-// re-validates against the database version on every call, so cached
-// entries self-heal after table mutations.
+// cache or freshly prepared. The key is the parsed query printed back, so
+// spellings differing in whitespace or keyword case share one entry while
+// string literals survive verbatim; a miss hands that parse to PrepareStmt,
+// so it is the query's only one. Staleness is not checked here: a Prepared
+// re-validates against the database version on every run.
 func (s *Server) preparedFor(sql string) (*flex.Prepared, string, error) {
-	key, err := canonicalSQL(sql)
+	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, "", err
 	}
+	key := sqlparser.Print(stmt)
 	if p, ok := s.prepared.get(key); ok {
 		s.hits.Add(1)
 		return p, key, nil
 	}
-	p, err := s.sys.Prepare(sql)
+	p, err := s.sys.PrepareStmt(sql, stmt)
 	if err != nil {
 		return nil, "", err
 	}
@@ -347,11 +335,31 @@ type ErrorResponse struct {
 	Reason   string `json:"reason,omitempty"` // fine-grained unsupported reason
 }
 
+// maxBodyBytes bounds /query and /analyze request bodies; a longer body is
+// answered 413 before anything parses it.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request body into v, writing the error response
+// itself (413 past maxBodyBytes, 400 otherwise) and returning false on
+// failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("bad request body: %w", err))
+	return false
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if !decodeBody(w, r, &req) {
 		s.outcomes.With("bad_request").Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	if req.SQL == "" {
@@ -363,9 +371,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if delta == 0 {
 		delta = s.cfg.DefaultDelta
 	}
-	// Parameters are validated before budget admission: Budget.Spend only
-	// guards the upper limit, so an unvalidated negative ε would *refund*
-	// budget and a zero ε would drain δ with no release.
+	// Parameters are validated before admission control, so a malformed
+	// request never queues behind running queries. (The run validates them
+	// again before its budget charge: Budget.Spend only guards the upper
+	// limit, so a negative ε would *refund* budget.)
 	if err := (smooth.PrivacyParams{Epsilon: req.Epsilon, Delta: delta}).Validate(); err != nil {
 		s.outcomes.With("bad_request").Inc()
 		writeError(w, http.StatusBadRequest, err)
@@ -404,36 +413,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
 		defer cancel()
 	}
+	// The run charges the analyst's (or the pool's) budget before any
+	// engine work, so an exhausted analyst gets 429 having executed
+	// nothing, and refunds it on every later failure.
+	run := flex.Request{Epsilon: req.Epsilon, Delta: delta, Budget: s.budgetFor(r, true)}
 	// ?profile=1 requests an execution trace alongside the noisy answer.
 	// Profiling decorates the run; the released result is bit-identical.
-	var prof *flex.QueryProfile
 	if r.URL.Query().Get("profile") == "1" {
-		prof = new(flex.QueryProfile)
+		run.Profile = new(flex.QueryProfile)
 	}
-	res, err := prep.RunProfiledContext(ctx, req.Epsilon, delta, prof)
+	res, err := prep.RunRequest(ctx, run)
 	if err != nil {
 		if !s.noteRunError(err) {
 			// Entries that can no longer run (e.g. their table was dropped)
 			// are evicted so the next request re-prepares instead of
-			// replaying the failure. Cancellation and timeouts skip the
-			// eviction — the plan is fine, the run was just abandoned.
+			// replaying the failure.
 			s.prepared.remove(key)
 		}
 		s.outcomes.With(outcomeFor(err)).Inc()
 		writeError(w, statusFor(err), err)
 		return
-	}
-	// Budget admission happens after the query ran but before its result
-	// leaves the server: privacy loss occurs on release, so a refused spend
-	// discards the computed answer uncharged, and no failure mode — parse,
-	// analysis, staleness, cancellation, panic, execution — ever drains
-	// budget without a release.
-	if b := s.budgetFor(r, true); b != nil {
-		if err := b.Spend(req.Epsilon, delta); err != nil {
-			s.outcomes.With(outcomeFor(err)).Inc()
-			writeError(w, statusFor(err), err)
-			return
-		}
 	}
 	s.completed.Add(1)
 	s.outcomes.With("completed").Inc()
@@ -450,7 +449,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Columns:        res.Columns,
 		BinsEnumerated: res.BinsEnumerated,
 		Analysis:       analysisDTO(res.Analysis),
-		Profile:        prof,
+		Profile:        run.Profile,
 	}
 	for _, row := range res.Rows {
 		out := make([]any, 0, len(row.Bins)+len(row.Values))
@@ -482,12 +481,14 @@ func (s *Server) noteSlowQuery(r *http.Request, key string, epsilon float64, sta
 		"threshold_ms", s.cfg.SlowQueryThreshold.Milliseconds())
 }
 
-// noteRunError bumps the lifecycle counter matching a RunContext failure and
-// reports whether the error is a cancellation or deadline expiry — the cases
-// where the prepared-cache entry must be kept (the plan did not fail, the
-// run was abandoned).
-func (s *Server) noteRunError(err error) (ctxErr bool) {
+// noteRunError bumps the lifecycle counter matching a run failure and
+// reports whether the prepared-cache entry must be kept: the plan did not
+// fail when the run was refused for budget, cancelled, or timed out.
+func (s *Server) noteRunError(err error) (keep bool) {
+	var be *smooth.BudgetExhaustedError
 	switch {
+	case errors.As(err, &be):
+		return true
 	case errors.Is(err, context.Canceled):
 		s.cancelled.Add(1)
 		return true
@@ -509,8 +510,7 @@ type AnalyzeRequest struct {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	a, err := s.sys.Analyze(req.SQL)

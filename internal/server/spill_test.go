@@ -15,6 +15,15 @@ import (
 // spill files confined to a test-owned directory.
 func spillTestServer(t *testing.T, budgetBytes int64, dir string) (*httptest.Server, *flex.System) {
 	t.Helper()
+	sys := spillTestSystem(t, budgetBytes, dir)
+	srv := httptest.NewServer(New(sys, nil, 1e-8).Handler())
+	t.Cleanup(srv.Close)
+	return srv, sys
+}
+
+// spillTestSystem is spillTestServer's System: trips joined to drivers.
+func spillTestSystem(t *testing.T, budgetBytes int64, dir string) *flex.System {
+	t.Helper()
 	db := flex.NewDatabase()
 	if err := db.CreateTable("trips",
 		flex.Col{Name: "id", Type: flex.TypeInt},
@@ -43,9 +52,7 @@ func spillTestServer(t *testing.T, budgetBytes int64, dir string) (*httptest.Ser
 	}
 	sys := flex.NewSystem(db, flex.Options{Seed: 7, MemoryBudget: budgetBytes, TempDir: dir})
 	sys.CollectMetrics()
-	srv := httptest.NewServer(New(sys, nil, 1e-8).Handler())
-	t.Cleanup(srv.Close)
-	return srv, sys
+	return sys
 }
 
 // TestServerSpillHygieneAndDeterminism drives join queries through the HTTP

@@ -56,7 +56,7 @@ func GenerateRideshare(cfg RideshareConfig) *engine.DB {
 	})
 	regions := []string{"na", "emea", "apac", "latam"}
 	for i := 0; i < cfg.Cities; i++ {
-		_ = db.Insert("cities", []engine.Value{
+		mustInsert(db, "cities", []engine.Value{
 			engine.NewInt(int64(i + 1)),
 			engine.NewString(fmt.Sprintf("city_%d", i+1)),
 			engine.NewString(regions[i%len(regions)]),
@@ -77,7 +77,7 @@ func GenerateRideshare(cfg RideshareConfig) *engine.DB {
 	driverCity := make([]int64, cfg.Drivers)
 	for i := 0; i < cfg.Drivers; i++ {
 		driverCity[i] = int64(cityZipf.Uint64() + 1)
-		_ = db.Insert("drivers", []engine.Value{
+		mustInsert(db, "drivers", []engine.Value{
 			engine.NewInt(int64(i + 1)),
 			engine.NewString(fmt.Sprintf("driver_%d", i+1)),
 			engine.NewInt(driverCity[i]),
@@ -95,7 +95,7 @@ func GenerateRideshare(cfg RideshareConfig) *engine.DB {
 		{Name: "active", Type: engine.KindBool},
 	})
 	for i := 0; i < cfg.Users; i++ {
-		_ = db.Insert("users", []engine.Value{
+		mustInsert(db, "users", []engine.Value{
 			engine.NewInt(int64(i + 1)),
 			engine.NewInt(int64(cityZipf.Uint64() + 1)),
 			engine.NewInt(int64(rng.Intn(cfg.Days))),
@@ -132,7 +132,7 @@ func GenerateRideshare(cfg RideshareConfig) *engine.DB {
 		if status == "completed" {
 			completed[d]++
 		}
-		_ = db.Insert("trips", []engine.Value{
+		mustInsert(db, "trips", []engine.Value{
 			engine.NewInt(int64(i + 1)),
 			engine.NewInt(d),
 			engine.NewInt(int64(riderZipf.Uint64() + 1)),
@@ -157,7 +157,7 @@ func GenerateRideshare(cfg RideshareConfig) *engine.DB {
 	})
 	tags := []string{"duplicate_account", "fraud_review", "vip", "promo_abuse"}
 	for i := 0; i < cfg.Users/4; i++ {
-		_ = db.Insert("user_tags", []engine.Value{
+		mustInsert(db, "user_tags", []engine.Value{
 			engine.NewInt(int64(rng.Intn(cfg.Users) + 1)),
 			engine.NewString(tags[rng.Intn(len(tags))]),
 			engine.NewInt(int64(rng.Intn(cfg.Days))),
@@ -172,7 +172,7 @@ func GenerateRideshare(cfg RideshareConfig) *engine.DB {
 	})
 	for i := 0; i < cfg.Drivers; i++ {
 		id := int64(i + 1)
-		_ = db.Insert("analytics", []engine.Value{
+		mustInsert(db, "analytics", []engine.Value{
 			engine.NewInt(id),
 			engine.NewInt(driverCity[i]),
 			engine.NewInt(completed[id]),
@@ -195,3 +195,11 @@ func tripCity(rng *rand.Rand, home int64, cities int) int64 {
 // RidesharePublicTables lists the non-protected tables (Section 3.6: city
 // data is publicly known).
 func RidesharePublicTables() []string { return []string{"cities"} }
+
+// mustInsert inserts one generated row. The generator controls every schema
+// and value, so a failed insert is a generator bug and fails loudly.
+func mustInsert(db *engine.DB, table string, row []engine.Value) {
+	if err := db.Insert(table, row); err != nil {
+		panic(fmt.Sprintf("workload: rideshare %s insert: %v", table, err))
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"flexdp/internal/engine"
 	"flexdp/internal/metrics"
 	"flexdp/internal/smooth"
+	"flexdp/internal/sqlparser"
 )
 
 // Prepared is a query that has been parsed, lowered to relational algebra,
@@ -18,21 +19,20 @@ import (
 //
 //   - the parse and the relational-algebra lowering,
 //   - the symbolic sensitivity polynomials and output classification,
-//   - the Ŝ^(k) evaluations of the smoothing search (memoized per distance,
-//     shared across output columns and (ε, δ) settings),
-//   - the smooth bounds themselves (memoized per (ε, δ) pair), and
+//   - the smooth bounds (memoized per (ε, δ) pair), and
 //   - the engine's compiled closure trees.
 //
 // Invalidation is by version: when the table store has changed since the
 // state was built, or the metrics store has mutated in any way (a
 // re-collection, MarkPublic, EnforceValueRange, manual SetVR), the next Run
-// rebuilds everything against the live schema, metrics, and data, so a
-// Prepared query never answers from stale analysis. Execution always reads
-// the current table contents — only derived, content-addressed artifacts are
-// cached.
+// re-analyzes the parsed statement against the live schema, metrics, and
+// data, so a Prepared query never answers from stale analysis. Execution
+// always reads the current table contents — only derived, content-addressed
+// artifacts are cached.
 //
-// A Prepared query is safe for concurrent Run calls, and its answers are
-// bit-identical to System.Run for the same seed and call sequence.
+// A Prepared query is safe for concurrent Run calls. System.Run answers
+// through a Prepared built on the spot, so prepared and one-shot answers
+// are bit-identical for the same seed and call sequence.
 //
 // Execution runs on the engine's morsel-driven parallel executor, governed
 // by Options.Parallelism / Database.SetParallelism and re-read on every Run,
@@ -46,20 +46,23 @@ type Prepared struct {
 	sql string
 
 	mu sync.RWMutex
-	st *preparedState
+	// stmt is sql's AST: handed over by PrepareStmt or parsed by the first
+	// state build, then shared by every rebuild, which never re-parses.
+	stmt *sqlparser.SelectStmt
+	st   *preparedState
 }
 
 // preparedState is everything derived from (SQL, schema, metrics, database
-// version). It is immutable after construction apart from its two
-// concurrency-safe caches.
+// version). It is immutable after construction apart from its
+// concurrency-safe bounds memo.
 type preparedState struct {
 	version        uint64         // database version the state was built at
 	metricsVersion uint64         // System metrics version the analysis used
 	store          *metrics.Store // metrics store instance the analysis used
 	metricsEpoch   uint64         // that store's mutation epoch at build
 	analysis       *Analysis
+	an             *core.Analyzer // the analyzer over store
 	pq             *engine.PreparedQuery
-	sens           *core.SensitivityCache
 	n              int // database size at build, for the Theorem 3 cutoff
 
 	boundsMu sync.Mutex
@@ -69,7 +72,14 @@ type preparedState struct {
 // Prepare analyzes and compiles sql for repeated execution. Unsupported or
 // unparseable queries fail here, with the same errors Run would produce.
 func (s *System) Prepare(sql string) (*Prepared, error) {
-	p := &Prepared{sys: s, sql: sql}
+	return s.PrepareStmt(sql, nil)
+}
+
+// PrepareStmt is Prepare for a caller that already parsed sql into stmt (nil
+// means parse it here), so one parse serves the caller, the analysis and the
+// execution. stmt is shared, never mutated.
+func (s *System) PrepareStmt(sql string, stmt *sqlparser.SelectStmt) (*Prepared, error) {
+	p := &Prepared{sys: s, sql: sql, stmt: stmt}
 	if _, err := p.state(); err != nil {
 		return nil, err
 	}
@@ -112,11 +122,19 @@ func (p *Prepared) state() (*preparedState, error) {
 	mv := s.metricsVersionNow()
 	store := s.Metrics()
 	me := store.Epoch()
-	analysis, err := s.Analyze(p.sql)
+	start := time.Now()
+	if p.stmt == nil {
+		stmt, err := sqlparser.Parse(p.sql)
+		if err != nil {
+			return nil, err
+		}
+		p.stmt = stmt
+	}
+	analysis, err := s.analyzeStmt(p.sql, p.stmt, start)
 	if err != nil {
 		return nil, err
 	}
-	pq, err := s.db.eng.Prepare(p.sql)
+	pq, err := s.db.eng.PrepareStmt(p.sql, analysis.stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -126,8 +144,8 @@ func (p *Prepared) state() (*preparedState, error) {
 		store:          store,
 		metricsEpoch:   me,
 		analysis:       analysis,
+		an:             s.analyzer(),
 		pq:             pq,
-		sens:           core.NewSensitivityCache(s.analyzer(), analysis.query),
 		n:              s.db.TotalRows(),
 		bounds:         make(map[smooth.PrivacyParams][]smooth.Smoothed),
 	}
@@ -152,7 +170,8 @@ func (st *preparedState) fresh(s *System) bool {
 const maxBoundsEntries = 64
 
 // boundsFor returns the per-output smooth bounds for the privacy parameters,
-// memoized per (ε, δ) pair on top of the per-distance sensitivity cache.
+// memoized per (ε, δ) pair: a repeat pays nothing, and a new pair pays one
+// smoothing sweep over the analyzer.
 func (st *preparedState) boundsFor(p smooth.PrivacyParams, mode NoiseMode) ([]smooth.Smoothed, error) {
 	st.boundsMu.Lock()
 	b, ok := st.bounds[p]
@@ -160,7 +179,7 @@ func (st *preparedState) boundsFor(p smooth.PrivacyParams, mode NoiseMode) ([]sm
 	if ok {
 		return b, nil
 	}
-	b, err := computeBounds(st.sens.At, st.analysis, st.n, p, mode)
+	b, err := computeBounds(st.an, st.analysis, st.n, p, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -172,36 +191,30 @@ func (st *preparedState) boundsFor(p smooth.PrivacyParams, mode NoiseMode) ([]sm
 	return b, nil
 }
 
-// Run answers the prepared query with (ε, δ)-differential privacy. It
-// follows exactly the System.Run pipeline — stale-metrics policy, budget
-// admission, noise-stream forking, smoothing, execution, perturbation — with
-// every query-dependent stage served from the prepared caches.
-func (p *Prepared) Run(epsilon, delta float64) (*PrivateResult, error) {
-	return p.run(context.Background(), epsilon, delta, nil, nil)
-}
-
-// RunContext is Run under a cancellation context: cancellation or deadline
-// expiry aborts execution within one morsel of work per worker and returns
-// the context's error. An aborted run releases nothing, so its budget charge
-// is refunded; the prepared caches are unaffected and the next Run proceeds
-// normally.
-func (p *Prepared) RunContext(ctx context.Context, epsilon, delta float64) (*PrivateResult, error) {
-	return p.run(ctx, epsilon, delta, nil, nil)
+// Request is one private answer's parameters: the (ε, δ) it is released
+// at, plus per-call choices that the legacy Run methods fix.
+type Request struct {
+	Epsilon, Delta float64
+	// Bins, when non-empty, are analyst-supplied histogram bin labels (see
+	// System.RunWithBins).
+	Bins []any
+	// Profile, when non-nil, receives the engine's per-operator execution
+	// trace: true, noise-free cardinalities, so an operator-facing
+	// diagnostic only. Profiling does not change the released result.
+	Profile *QueryProfile
+	// Budget, when non-nil, is charged for this call instead of
+	// Options.Budget: a serving layer passes each analyst's own budget.
+	Budget *smooth.Budget
 }
 
 // QueryProfile re-exports the engine's per-query execution trace so serving
 // layers can request one without importing the engine package directly.
 type QueryProfile = engine.QueryProfile
 
-// RunProfiledContext is RunContext with an execution trace: when profile is
-// non-nil the underlying engine execution fills it with the per-operator
-// profile (see engine.QueryProfile). The trace describes the true execution
-// — real intermediate cardinalities, unperturbed by DP noise — so it is an
-// operator-facing diagnostic, never analyst-facing output. Profiling does
-// not change the released result: the differential suites pin profiled runs
-// bit-identical, noise included.
-func (p *Prepared) RunProfiledContext(ctx context.Context, epsilon, delta float64, profile *QueryProfile) (*PrivateResult, error) {
-	return p.run(ctx, epsilon, delta, nil, profile)
+// Run answers the prepared query with (ε, δ)-differential privacy, with
+// every query-dependent stage served from the prepared caches.
+func (p *Prepared) Run(epsilon, delta float64) (*PrivateResult, error) {
+	return p.run(context.Background(), Request{Epsilon: epsilon, Delta: delta})
 }
 
 // RunWithBins answers the prepared histogram query with analyst-supplied bin
@@ -210,70 +223,77 @@ func (p *Prepared) RunWithBins(epsilon, delta float64, bins []any) (*PrivateResu
 	if len(bins) == 0 {
 		return nil, errNoBins
 	}
-	return p.run(context.Background(), epsilon, delta, bins, nil)
+	return p.run(context.Background(), Request{Epsilon: epsilon, Delta: delta, Bins: bins})
 }
 
-// RunWithBinsContext is RunWithBins under a cancellation context (see
-// RunContext).
-func (p *Prepared) RunWithBinsContext(ctx context.Context, epsilon, delta float64, bins []any) (*PrivateResult, error) {
-	if len(bins) == 0 {
-		return nil, errNoBins
-	}
-	return p.run(ctx, epsilon, delta, bins, nil)
+// RunRequest answers the prepared query for req under a cancellation
+// context: cancellation or deadline expiry aborts execution within one
+// morsel of work per worker and returns the context's error. An aborted run
+// releases nothing, so its budget charge is refunded; the prepared caches
+// are unaffected and the next run proceeds normally.
+func (p *Prepared) RunRequest(ctx context.Context, req Request) (*PrivateResult, error) {
+	return p.run(ctx, req)
 }
 
-func (p *Prepared) run(ctx context.Context, epsilon, delta float64, analystBins []any, profile *QueryProfile) (*PrivateResult, error) {
+// run is the one release path: every private answer, prepared or one-shot
+// (System.Run runs a Prepared built here on the spot), goes through it.
+func (p *Prepared) run(ctx context.Context, req Request) (_ *PrivateResult, err error) {
 	s := p.sys
-	pp := smooth.PrivacyParams{Epsilon: epsilon, Delta: delta}
+	pp := smooth.PrivacyParams{Epsilon: req.Epsilon, Delta: req.Delta}
 	if err := pp.Validate(); err != nil {
 		return nil, err
 	}
 	if err := s.refreshIfStale(); err != nil {
 		return nil, err
 	}
+	// For a one-shot run the state build is the parse and the analysis, so
+	// AnalysisTime covers them as well as the smoothing.
+	t0 := time.Now()
 	st, err := p.state()
 	if err != nil {
 		return nil, err
 	}
-	if s.opts.Budget != nil {
-		if err := s.opts.Budget.Spend(epsilon, delta); err != nil {
+	// Budget admission and noise-stream forking happen after analysis, so a
+	// rejected query neither consumes budget nor burns a call number, and
+	// the call numbering (hence the noise) is the same whether or not the
+	// query was prepared beforehand. Failures past this point answered
+	// nothing, so the charge is refunded: budget tracks released answers,
+	// not attempts. (The call number stays burned — the noise stream must
+	// not depend on which executions aborted.)
+	budget := req.Budget
+	if budget == nil {
+		budget = s.opts.Budget
+	}
+	if budget != nil {
+		if err := budget.Spend(req.Epsilon, req.Delta); err != nil {
 			return nil, err
 		}
+		defer func() {
+			if err != nil {
+				budget.Refund(req.Epsilon, req.Delta)
+			}
+		}()
 	}
-	sampler := s.forkSampler()
-	refund := func() {
-		if s.opts.Budget != nil {
-			s.opts.Budget.Refund(epsilon, delta)
-		}
-	}
+	sampler := s.mech.Fork(s.calls.Add(1))
 
-	t0 := time.Now()
 	bounds, err := st.boundsFor(pp, s.opts.NoiseMode)
 	if err != nil {
-		refund()
 		return nil, err
 	}
 	analysisTime := time.Since(t0)
 
 	t1 := time.Now()
-	var rs *engine.ResultSet
-	if profile != nil {
-		cfg := s.db.eng.ExecConfig()
-		cfg.Profile = profile
-		rs, err = st.pq.ExecContextConfig(ctx, cfg)
-	} else {
-		rs, err = st.pq.ExecContext(ctx)
-	}
+	cfg := s.db.eng.ExecConfig()
+	cfg.Profile = req.Profile
+	rs, err := st.pq.ExecContextConfig(ctx, cfg)
 	if err != nil {
-		refund()
 		return nil, err
 	}
 	execTime := time.Since(t1)
 
 	t2 := time.Now()
-	out, err := s.perturb(st.analysis, rs, bounds, epsilon, analystBins, sampler)
+	out, err := s.perturb(st.analysis, rs, bounds, req.Epsilon, req.Bins, sampler)
 	if err != nil {
-		refund()
 		return nil, err
 	}
 	out.Analysis = st.analysis

@@ -176,7 +176,7 @@ func TestPreparedInvalidationOnMetricsOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sensBefore, err := prep.st.sens.At(0)
+	sensBefore, err := prep.st.an.SensitivityAt(prep.st.analysis.query, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
