@@ -12,11 +12,8 @@ import (
 
 // executeAggregate is the grouped-aggregation select path: it handles
 // GROUP BY, aggregate functions in the select list and HAVING, and the
-// implicit single group for aggregates without GROUP BY. sel, when non-nil,
-// selects the input rows (from the vectorized WHERE); the batch-capable
-// parallel path consumes it directly, the spilled and serial paths
-// materialize it.
-func (ctx *execContext) executeAggregate(stmt *sqlparser.SelectStmt, rel *relation, sel []int) (*ResultSet, [][]Value, error) {
+// implicit single group for aggregates without GROUP BY.
+func (ctx *execContext) executeAggregate(stmt *sqlparser.SelectStmt, rel *relation) (*ResultSet, [][]Value, error) {
 	// Every materialized aggregation is a pipeline breaker: the full grouping
 	// state (or spill partitioning of it) stands between input and output.
 	ctx.pstats.breaker(0)
@@ -29,14 +26,6 @@ func (ctx *execContext) executeAggregate(stmt *sqlparser.SelectStmt, rel *relati
 		clone := *stmt
 		clone.GroupBy = resolved
 		stmt = &clone
-	}
-
-	// The spilled path estimates its budget from rel.rows, so a pending
-	// selection must be materialized first for the estimate (and the spill
-	// partitioning loop) to see only the surviving rows. Costs one index
-	// copy, and only when a memory budget is configured.
-	if sel != nil && ctx.spill.Enabled() {
-		rel, sel = applySel(rel, sel), nil
 	}
 
 	// Out-of-core path: when the grouping state (group index plus per-group
@@ -52,14 +41,12 @@ func (ctx *execContext) executeAggregate(stmt *sqlparser.SelectStmt, rel *relati
 	// a deterministic morsel-order merge (aggregate_parallel.go). Falls
 	// through to the serial path for subquery-bearing statements and, in
 	// scalar mode, single-morsel inputs.
-	if out, keys, ok, err := ctx.tryExecuteAggregateParallel(stmt, rel, sel); ok {
+	if out, keys, ok, err := ctx.tryExecuteAggregateParallel(stmt, rel); ok {
 		return out, keys, err
 	}
 
-	// Serial path: consumes materialized rows.
-	rel = applySel(rel, sel)
-
-	// Partition rows into groups keyed by the GROUP BY expressions.
+	// Serial path: partition rows into groups keyed by the GROUP BY
+	// expressions.
 	type group struct {
 		keyVals []Value
 		rows    [][]Value

@@ -128,22 +128,17 @@ func aggregateParallelizable(stmt *sqlparser.SelectStmt, calls []*sqlparser.Func
 // tryExecuteAggregateParallel runs the morsel-parallel aggregation when the
 // statement and configuration allow it; ok=false means the caller must use
 // the serial path. stmt has positional GROUP BY references already resolved.
-// sel, when non-nil, is the WHERE filter's selection vector over rel.rows.
 //
 // In vectorized mode the path engages at every worker count — the win is
 // batch evaluation itself, and at one worker runSpans runs the morsels
 // inline in order — while scalar mode still requires real parallelism to be
 // worth leaving the serial loop.
-func (ctx *execContext) tryExecuteAggregateParallel(stmt *sqlparser.SelectStmt, rel *relation, sel []int) (*ResultSet, [][]Value, bool, error) {
+func (ctx *execContext) tryExecuteAggregateParallel(stmt *sqlparser.SelectStmt, rel *relation) (*ResultSet, [][]Value, bool, error) {
 	if !ctx.vector {
 		if ctx.workers <= 1 {
 			return nil, nil, false, nil
 		}
-		n := len(rel.rows)
-		if sel != nil {
-			n = len(sel)
-		}
-		if len(morselSpans(n, ctx.morsel)) <= 1 {
+		if len(morselSpans(len(rel.rows), ctx.morsel)) <= 1 {
 			return nil, nil, false, nil
 		}
 	}
@@ -151,15 +146,12 @@ func (ctx *execContext) tryExecuteAggregateParallel(stmt *sqlparser.SelectStmt, 
 	if !aggregateParallelizable(stmt, calls) {
 		return nil, nil, false, nil
 	}
-	out, keys, err := ctx.executeAggregateParallel(stmt, rel, sel, calls)
+	out, keys, err := ctx.executeAggregateParallel(stmt, rel, calls)
 	return out, keys, true, err
 }
 
-func (ctx *execContext) executeAggregateParallel(stmt *sqlparser.SelectStmt, rel *relation, sel []int, calls []*sqlparser.FuncCall) (*ResultSet, [][]Value, error) {
-	ids := sel
-	if ids == nil {
-		ids = identitySel(len(rel.rows))
-	}
+func (ctx *execContext) executeAggregateParallel(stmt *sqlparser.SelectStmt, rel *relation, calls []*sqlparser.FuncCall) (*ResultSet, [][]Value, error) {
+	ids := identitySel(len(rel.rows))
 	spans := morselSpans(len(ids), ctx.spanSize(len(rel.cols)))
 
 	// Assign each distinct (argument, DISTINCT) pair a slot — a slot holds

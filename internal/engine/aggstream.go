@@ -115,7 +115,7 @@ func foldableName(name string) bool {
 // serial reference loop is the determinism baseline.
 func (ctx *execContext) executeAggregateStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
 	if len(p.ops) == 0 {
-		return ctx.executeAggregate(stmt, p.src, nil)
+		return ctx.executeAggregate(stmt, p.src)
 	}
 	if resolved, err := resolvePositionalGroupBy(stmt); err != nil {
 		return nil, nil, err
@@ -130,7 +130,7 @@ func (ctx *execContext) executeAggregateStream(stmt *sqlparser.SelectStmt, p *pi
 		if err != nil {
 			return nil, nil, err
 		}
-		return ctx.executeAggregate(stmt, rel, nil)
+		return ctx.executeAggregate(stmt, rel)
 	}
 	if len(stmt.GroupBy) > 0 && ctx.spill.Enabled() &&
 		ctx.spill.ShouldSpill(estRowsBytes(p.src.rows)) {

@@ -8,19 +8,20 @@ import (
 	"flexdp/internal/sqlparser"
 )
 
-// This file implements the compile-once execution layer: instead of
-// re-walking the expression AST and re-resolving column names for every row
-// (the interpreter in eval.go), each expression is compiled once per
-// relation into a closure tree. Column references bind to integer row
-// indices at compile time, operator dispatch happens once, and uncorrelated
-// subqueries are memoized, so per-row evaluation is a chain of direct
-// closure calls over the row slice.
+// This file implements the row evaluator: instead of re-walking the
+// expression AST and re-resolving column names for every row, each
+// expression is compiled once per relation into a closure tree. Column
+// references bind to integer row indices at compile time, operator dispatch
+// happens once, and uncorrelated subqueries are memoized, so per-row
+// evaluation is a chain of direct closure calls over the row slice. The
+// batch kernels (kernels.go) are the other evaluator; they serve pure
+// expressions in vectorized mode with the same semantics.
 //
-// Compilation preserves the interpreter's semantics exactly: errors that
-// the interpreter raises only when a node is actually evaluated (unknown
-// columns, unsupported functions) are deferred into the returned closure,
-// so short-circuit evaluation, CASE branches, and empty relations behave
-// identically.
+// Evaluation is lazy about errors: a failure that only evaluating a node can
+// reveal (unknown columns, unsupported functions) is deferred into the
+// returned closure and raised only when that node is reached, so
+// short-circuit evaluation, CASE branches, and empty relations never fail on
+// a branch they do not evaluate.
 
 // evalFn is a compiled expression evaluator bound to one relation's column
 // layout. The row slice must match that layout.
@@ -104,8 +105,8 @@ func constFn(v Value) evalFn {
 	return func([]Value) (Value, error) { return v, nil }
 }
 
-// errFn defers a compile-time resolution failure to evaluation time,
-// matching the interpreter, which only reports errors for nodes it reaches.
+// errFn defers a compile-time resolution failure to evaluation time, so an
+// error is only reported for a node evaluation reaches.
 func errFn(err error) evalFn {
 	return func([]Value) (Value, error) { return Null, err }
 }
@@ -446,8 +447,8 @@ func (c *compiler) compileIn(x *sqlparser.InExpr) evalFn {
 	expr := c.compile(x.Expr)
 	not := x.Not
 
-	// Scan preserves the interpreter's 3VL: NULL candidates defer the
-	// decision, a match short-circuits.
+	// Scan applies 3VL: NULL candidates defer the decision, a match
+	// short-circuits.
 	scan := func(v Value, candidates []Value) Value {
 		sawNull := false
 		for _, cand := range candidates {
@@ -520,8 +521,8 @@ func (c *compiler) compileIn(x *sqlparser.InExpr) evalFn {
 		if v.IsNull() {
 			return Null, nil
 		}
-		// The interpreter materializes every candidate before scanning, so
-		// an error in any list item surfaces even after a match; keep that.
+		// Every candidate is evaluated before scanning, so an error in any
+		// list item surfaces even after a match.
 		candidates := make([]Value, len(items))
 		for i, fn := range items {
 			cv, err := fn(row)

@@ -32,10 +32,9 @@ func TestUnaliasedDerivedTable(t *testing.T) {
 	}
 }
 
-// TestCompiledShortCircuitDefersErrors verifies the compiled evaluators
-// keep the interpreter's lazy error semantics: an unresolvable column in a
-// branch that short-circuit evaluation never reaches must not fail the
-// query.
+// TestCompiledShortCircuitDefersErrors verifies the compiled evaluators keep
+// lazy error semantics: an unresolvable column in a branch that short-circuit
+// evaluation never reaches must not fail the query.
 func TestCompiledShortCircuitDefersErrors(t *testing.T) {
 	db := testDB(t)
 

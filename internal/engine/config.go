@@ -12,8 +12,10 @@ import "flexdp/internal/spill"
 // The zero value means "all defaults": one worker per CPU, width-adaptive
 // morsels, vectorized kernels on, unbounded memory, os.TempDir() spills.
 // None of these knobs may change query results — the differential suites pin
-// every combination bit-identical, including noisy DP outputs at a fixed
-// seed — so an ExecConfig is purely a resource/debugging surface.
+// every combination bit-identical to recorded reference answers and to each
+// other, including noisy DP outputs at a fixed seed — so an ExecConfig is
+// purely a resource/debugging surface. There is one executor: no knob
+// selects a different one.
 type ExecConfig struct {
 	// Parallelism bounds the per-query worker count of the morsel-driven
 	// executor; <= 0 means one worker per CPU (GOMAXPROCS).
@@ -23,7 +25,8 @@ type ExecConfig struct {
 	// multi-morsel merges on small tables.
 	MorselSize int
 	// DisableVectorized forces every operator onto the row-at-a-time closure
-	// path. Zero value = vectorized batch kernels on.
+	// path, the reference the batch kernels are tested against. Zero value =
+	// vectorized batch kernels on.
 	DisableVectorized bool
 	// MemoryBudget bounds per-query operator state (hash-join build tables,
 	// ORDER BY buffers, grouped-aggregation state, DISTINCT and set-operation
@@ -36,12 +39,6 @@ type ExecConfig struct {
 	// SpillFS, when non-nil, replaces the real filesystem for spill files
 	// (fault-injection tests install a spill.FaultFS here).
 	SpillFS spill.FS
-	// MaterializeStages disables the streaming dataflow: every pipeline stage
-	// materializes its full output relation before the next one runs, as the
-	// pre-streaming executor did. Results are bit-identical either way; this
-	// exists for the streamed-vs-materialized differential suite and the
-	// BenchmarkStreamingPipeline A/B comparison.
-	MaterializeStages bool
 	// Profile, when non-nil, receives this execution's per-operator trace
 	// and spill attribution (see QueryProfile). nil — the default — keeps
 	// profiling entirely off the hot path: no traces are allocated and the

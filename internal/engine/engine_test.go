@@ -409,14 +409,59 @@ func TestMfMetricQueryShape(t *testing.T) {
 	}
 }
 
+// TestLimitOffset pins LIMIT/OFFSET evaluation beyond integer literals, and
+// the trailing ORDER BY after a set operation, one-shot and prepared (the
+// prepared statement runs twice so the second run reads its plan cache).
 func TestLimitOffset(t *testing.T) {
 	db := testDB(t)
-	rs, err := db.Query("SELECT id FROM trips ORDER BY id LIMIT 2 OFFSET 1")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		sql     string
+		want    []int64
+		wantErr string
+	}{
+		{sql: "SELECT id FROM trips ORDER BY id LIMIT 2 OFFSET 1", want: []int64{2, 3}},
+		{sql: "SELECT id FROM trips ORDER BY id LIMIT 1+1", want: []int64{1, 2}},
+		{sql: "SELECT id FROM trips ORDER BY id LIMIT (SELECT COUNT(*) FROM cities)", want: []int64{1, 2, 3}},
+		{sql: "SELECT id FROM trips ORDER BY id LIMIT 2 OFFSET -3", want: []int64{1, 2}},
+		{sql: "SELECT id FROM trips ORDER BY id OFFSET 4", want: []int64{5}},
+		{sql: "SELECT id FROM trips LIMIT 1.5", wantErr: "engine: LIMIT/OFFSET must be integer, got FLOAT"},
+		{sql: "SELECT id FROM trips LIMIT NULL", wantErr: "engine: LIMIT/OFFSET must be integer, got NULL"},
+		{sql: "SELECT id FROM trips LIMIT k", wantErr: `engine: unknown column "k"`},
+		{sql: "SELECT id FROM trips UNION SELECT id FROM cities ORDER BY id + 1",
+			wantErr: "engine: ORDER BY expression (id + 1) not resolvable after set operation"},
 	}
-	if len(rs.Rows) != 2 || rs.Rows[0][0].Int != 2 || rs.Rows[1][0].Int != 3 {
-		t.Errorf("rows = %v", rs.Rows)
+	for _, c := range cases {
+		pq, err := db.Prepare(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			mode string
+			exec func() (*ResultSet, error)
+		}{
+			{"one-shot", func() (*ResultSet, error) { return db.Query(c.sql) }},
+			{"prepared", pq.Exec},
+			{"cached", pq.Exec},
+		} {
+			rs, err := run.exec()
+			if c.wantErr != "" {
+				if err == nil || err.Error() != c.wantErr {
+					t.Errorf("%s %s: error %v, want %q", run.mode, c.sql, err, c.wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s %s: %v", run.mode, c.sql, err)
+				continue
+			}
+			var got []int64
+			for _, row := range rs.Rows {
+				got = append(got, row[0].Int)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s %s: ids %v, want %v", run.mode, c.sql, got, c.want)
+			}
+		}
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"flexdp/internal/sqlparser"
 )
 
 // relCol identifies a column of an intermediate relation by the qualifier
@@ -106,236 +104,6 @@ func colErr(idx int, qual, name string) error {
 	return nil
 }
 
-// rowEnv is the evaluation environment for one row of a relation.
-type rowEnv struct {
-	rel *relation
-	row []Value
-	ctx *execContext // for subquery evaluation; may be nil in tests
-}
-
-func (env *rowEnv) lookup(qual, name string) (Value, error) {
-	i, err := env.rel.findCol(qual, name)
-	if err != nil {
-		return Null, err
-	}
-	return env.row[i], nil
-}
-
-// evalExpr evaluates a scalar (non-aggregate) expression against a row.
-func evalExpr(env *rowEnv, e sqlparser.Expr) (Value, error) {
-	switch x := e.(type) {
-	case *sqlparser.IntLit:
-		return NewInt(x.Value), nil
-	case *sqlparser.FloatLit:
-		return NewFloat(x.Value), nil
-	case *sqlparser.StringLit:
-		return NewString(x.Value), nil
-	case *sqlparser.BoolLit:
-		return NewBool(x.Value), nil
-	case *sqlparser.NullLit:
-		return Null, nil
-	case *sqlparser.ColumnRef:
-		return env.lookup(x.Table, x.Name)
-	case *sqlparser.BinaryExpr:
-		return evalBinary(env, x)
-	case *sqlparser.UnaryExpr:
-		v, err := evalExpr(env, x.Expr)
-		if err != nil {
-			return Null, err
-		}
-		switch x.Op {
-		case "NOT":
-			if v.IsNull() {
-				return Null, nil
-			}
-			return NewBool(!v.Truthy()), nil
-		case "-":
-			switch v.Kind {
-			case KindInt:
-				return NewInt(-v.Int), nil
-			case KindFloat:
-				return NewFloat(-v.Float), nil
-			case KindNull:
-				return Null, nil
-			}
-			return Null, fmt.Errorf("engine: cannot negate %s", v.Kind)
-		}
-		return Null, fmt.Errorf("engine: unknown unary op %q", x.Op)
-	case *sqlparser.FuncCall:
-		return evalScalarFunc(env, x)
-	case *sqlparser.CaseExpr:
-		return evalCase(env, x)
-	case *sqlparser.InExpr:
-		return evalIn(env, x)
-	case *sqlparser.BetweenExpr:
-		v, err := evalExpr(env, x.Expr)
-		if err != nil {
-			return Null, err
-		}
-		lo, err := evalExpr(env, x.Low)
-		if err != nil {
-			return Null, err
-		}
-		hi, err := evalExpr(env, x.High)
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return Null, nil
-		}
-		in := Compare(v, lo) >= 0 && Compare(v, hi) <= 0
-		if x.Not {
-			in = !in
-		}
-		return NewBool(in), nil
-	case *sqlparser.LikeExpr:
-		v, err := evalExpr(env, x.Expr)
-		if err != nil {
-			return Null, err
-		}
-		pat, err := evalExpr(env, x.Pattern)
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() || pat.IsNull() {
-			return Null, nil
-		}
-		m := likeMatch(v.String(), pat.String())
-		if x.Not {
-			m = !m
-		}
-		return NewBool(m), nil
-	case *sqlparser.IsNullExpr:
-		v, err := evalExpr(env, x.Expr)
-		if err != nil {
-			return Null, err
-		}
-		res := v.IsNull()
-		if x.Not {
-			res = !res
-		}
-		return NewBool(res), nil
-	case *sqlparser.ExistsExpr:
-		if env.ctx == nil {
-			return Null, fmt.Errorf("engine: EXISTS subquery outside execution context")
-		}
-		rs, err := env.ctx.executeSelect(x.Query)
-		if err != nil {
-			return Null, err
-		}
-		res := len(rs.Rows) > 0
-		if x.Not {
-			res = !res
-		}
-		return NewBool(res), nil
-	case *sqlparser.SubqueryExpr:
-		if env.ctx == nil {
-			return Null, fmt.Errorf("engine: scalar subquery outside execution context")
-		}
-		rs, err := env.ctx.executeSelect(x.Query)
-		if err != nil {
-			return Null, err
-		}
-		if len(rs.Rows) == 0 {
-			return Null, nil
-		}
-		return rs.Scalar()
-	case *sqlparser.CastExpr:
-		v, err := evalExpr(env, x.Expr)
-		if err != nil {
-			return Null, err
-		}
-		return castValue(v, x.Type)
-	}
-	return Null, fmt.Errorf("engine: unsupported expression %T", e)
-}
-
-func evalBinary(env *rowEnv, x *sqlparser.BinaryExpr) (Value, error) {
-	// AND/OR use three-valued logic with short-circuiting where sound.
-	switch x.Op {
-	case "AND":
-		l, err := evalExpr(env, x.Left)
-		if err != nil {
-			return Null, err
-		}
-		if !l.IsNull() && !l.Truthy() {
-			return NewBool(false), nil
-		}
-		r, err := evalExpr(env, x.Right)
-		if err != nil {
-			return Null, err
-		}
-		if !r.IsNull() && !r.Truthy() {
-			return NewBool(false), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		return NewBool(true), nil
-	case "OR":
-		l, err := evalExpr(env, x.Left)
-		if err != nil {
-			return Null, err
-		}
-		if l.Truthy() {
-			return NewBool(true), nil
-		}
-		r, err := evalExpr(env, x.Right)
-		if err != nil {
-			return Null, err
-		}
-		if r.Truthy() {
-			return NewBool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		return NewBool(false), nil
-	}
-
-	l, err := evalExpr(env, x.Left)
-	if err != nil {
-		return Null, err
-	}
-	r, err := evalExpr(env, x.Right)
-	if err != nil {
-		return Null, err
-	}
-	switch x.Op {
-	case "=", "<>", "<", "<=", ">", ">=":
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		cmp := Compare(l, r)
-		eq := Equal(l, r)
-		switch x.Op {
-		case "=":
-			return NewBool(eq), nil
-		case "<>":
-			return NewBool(!eq), nil
-		case "<":
-			return NewBool(cmp < 0), nil
-		case "<=":
-			return NewBool(cmp <= 0), nil
-		case ">":
-			return NewBool(cmp > 0), nil
-		case ">=":
-			return NewBool(cmp >= 0), nil
-		}
-	case "+", "-", "*", "/", "%":
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		return evalArith(x.Op, l, r)
-	case "||":
-		if l.IsNull() || r.IsNull() {
-			return Null, nil
-		}
-		return NewString(l.String() + r.String()), nil
-	}
-	return Null, fmt.Errorf("engine: unknown binary op %q", x.Op)
-}
-
 func evalArith(op string, l, r Value) (Value, error) {
 	if !isNumeric(l) || !isNumeric(r) {
 		return Null, fmt.Errorf("engine: arithmetic on non-numeric %s %s %s",
@@ -381,153 +149,6 @@ func evalArith(op string, l, r Value) (Value, error) {
 		return NewFloat(math.Mod(a, b)), nil
 	}
 	return Null, fmt.Errorf("engine: unknown arithmetic op %q", op)
-}
-
-func evalCase(env *rowEnv, x *sqlparser.CaseExpr) (Value, error) {
-	var operand Value
-	hasOperand := x.Operand != nil
-	if hasOperand {
-		v, err := evalExpr(env, x.Operand)
-		if err != nil {
-			return Null, err
-		}
-		operand = v
-	}
-	for _, w := range x.Whens {
-		cond, err := evalExpr(env, w.Cond)
-		if err != nil {
-			return Null, err
-		}
-		matched := false
-		if hasOperand {
-			matched = Equal(operand, cond)
-		} else {
-			matched = cond.Truthy()
-		}
-		if matched {
-			return evalExpr(env, w.Result)
-		}
-	}
-	if x.Else != nil {
-		return evalExpr(env, x.Else)
-	}
-	return Null, nil
-}
-
-func evalIn(env *rowEnv, x *sqlparser.InExpr) (Value, error) {
-	v, err := evalExpr(env, x.Expr)
-	if err != nil {
-		return Null, err
-	}
-	if v.IsNull() {
-		return Null, nil
-	}
-	var candidates []Value
-	if x.Subquery != nil {
-		if env.ctx == nil {
-			return Null, fmt.Errorf("engine: IN subquery outside execution context")
-		}
-		rs, err := env.ctx.executeSelect(x.Subquery)
-		if err != nil {
-			return Null, err
-		}
-		if len(rs.Columns) != 1 {
-			return Null, fmt.Errorf("engine: IN subquery must return one column, got %d",
-				len(rs.Columns))
-		}
-		for i, row := range rs.Rows {
-			if i%env.ctx.morsel == 0 {
-				if err := env.ctx.err(); err != nil {
-					return Null, err
-				}
-			}
-			candidates = append(candidates, row[0])
-		}
-	} else {
-		for _, item := range x.List {
-			iv, err := evalExpr(env, item)
-			if err != nil {
-				return Null, err
-			}
-			candidates = append(candidates, iv)
-		}
-	}
-	sawNull := false
-	for _, c := range candidates {
-		if c.IsNull() {
-			sawNull = true
-			continue
-		}
-		if Equal(v, c) {
-			return NewBool(!x.Not), nil
-		}
-	}
-	if sawNull {
-		// v IN (... NULL ...) with no match is NULL under 3VL.
-		return Null, nil
-	}
-	return NewBool(x.Not), nil
-}
-
-// evalScalarFunc evaluates the supported non-aggregate functions.
-func evalScalarFunc(env *rowEnv, x *sqlparser.FuncCall) (Value, error) {
-	if sqlparser.IsAggregateFunc(x.Name) {
-		return Null, fmt.Errorf("engine: aggregate %s used outside aggregation context", x.Name)
-	}
-	switch x.Name {
-	case "COALESCE":
-		for _, a := range x.Args {
-			v, err := evalExpr(env, a)
-			if err != nil {
-				return Null, err
-			}
-			if !v.IsNull() {
-				return v, nil
-			}
-		}
-		return Null, nil
-	case "LOWER", "UPPER", "LENGTH", "ABS", "ROUND", "FLOOR", "CEIL":
-		if len(x.Args) < 1 {
-			return Null, fmt.Errorf("engine: %s requires an argument", x.Name)
-		}
-		v, err := evalExpr(env, x.Args[0])
-		if err != nil {
-			return Null, err
-		}
-		if v.IsNull() {
-			return Null, nil
-		}
-		switch x.Name {
-		case "LOWER":
-			return NewString(strings.ToLower(v.String())), nil
-		case "UPPER":
-			return NewString(strings.ToUpper(v.String())), nil
-		case "LENGTH":
-			return NewInt(int64(len(v.String()))), nil
-		case "ABS":
-			if v.Kind == KindInt {
-				if v.Int < 0 {
-					return NewInt(-v.Int), nil
-				}
-				return v, nil
-			}
-			return NewFloat(math.Abs(v.AsFloat())), nil
-		case "ROUND":
-			return NewFloat(math.Round(v.AsFloat())), nil
-		case "FLOOR":
-			return NewFloat(math.Floor(v.AsFloat())), nil
-		case "CEIL":
-			return NewFloat(math.Ceil(v.AsFloat())), nil
-		}
-	case "INTERVAL":
-		// Opaque interval literal: value in its unit, returned as string.
-		if len(x.Args) == 2 {
-			v, _ := evalExpr(env, x.Args[0])
-			u, _ := evalExpr(env, x.Args[1])
-			return NewString(v.String() + " " + u.String()), nil
-		}
-	}
-	return Null, fmt.Errorf("engine: unsupported function %s", x.Name)
 }
 
 func castValue(v Value, typ string) (Value, error) {

@@ -241,22 +241,12 @@ func (ctx *execContext) executeSelect(stmt *sqlparser.SelectStmt) (*ResultSet, e
 	return out, nil
 }
 
-// executeCore runs a single SELECT body (no set ops, no ORDER BY/LIMIT) and
-// additionally returns per-output-row sort keys for the statement's ORDER BY
-// expressions evaluated in the projection environment. The streaming dataflow
-// (stream.go) is the default; ExecConfig.MaterializeStages selects the
-// materialize-between-operators executor, kept as the differential reference.
-func (ctx *execContext) executeCore(stmt *sqlparser.SelectStmt) (*ResultSet, [][]Value, error) {
-	if ctx.cfg.MaterializeStages {
-		return ctx.executeCoreMaterialized(stmt)
-	}
-	return ctx.executeCoreStreaming(stmt)
-}
-
-// executeCoreStreaming evaluates the SELECT body as one morsel pipeline:
-// FROM (with streaming join probes) → WHERE (selection vectors) → the
-// aggregation or projection sink. Only pipeline breakers materialize rows.
-func (ctx *execContext) executeCoreStreaming(stmt *sqlparser.SelectStmt) (rs *ResultSet, sortKeys [][]Value, err error) {
+// executeCore runs a single SELECT body (no set ops, no ORDER BY/LIMIT) as
+// one morsel pipeline: FROM (with streaming join probes) → WHERE (selection
+// vectors) → the aggregation or projection sink. Only pipeline breakers
+// materialize rows. It additionally returns per-output-row sort keys for the
+// statement's ORDER BY expressions evaluated in the projection environment.
+func (ctx *execContext) executeCore(stmt *sqlparser.SelectStmt) (rs *ResultSet, sortKeys [][]Value, err error) {
 	// The plan says which WHERE/ON conjuncts run below which join and which
 	// columns each join still emits; what it left of the WHERE runs here.
 	plan := ctx.planFor(stmt)
@@ -311,84 +301,15 @@ func (ctx *execContext) executeCoreStreaming(stmt *sqlparser.SelectStmt) (rs *Re
 	return out, sortKeys, nil
 }
 
-// executeCoreMaterialized is the pre-streaming executor: every stage fully
-// materializes its output relation before the next runs. Retained verbatim
-// behind ExecConfig.MaterializeStages as the reference for the
-// streamed-vs-materialized differential suite and benchmarks.
-func (ctx *execContext) executeCoreMaterialized(stmt *sqlparser.SelectStmt) (*ResultSet, [][]Value, error) {
-	rel, err := ctx.buildFrom(stmt.From)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// sel, when non-nil, is the selection vector the WHERE filter produced:
-	// indices into rel.rows in input order. The batch path hands it to the
-	// downstream operators instead of copying the kept rows; nil means "all
-	// rows". Operators that cannot consume a selection materialize it via
-	// applySel, which reproduces the copied-slice relation exactly.
-	var sel []int
-	if stmt.Where != nil {
-		if ctx.vector && exprPure(stmt.Where) {
-			pred := compileBatchExpr(rel, ctx, stmt.Where)
-			s, err := ctx.filterSel(rel, pred)
-			if err != nil {
-				return nil, nil, err
-			}
-			sel = s
-		} else {
-			pred, err := compileExpr(rel, ctx, stmt.Where)
-			if err != nil {
-				return nil, nil, err
-			}
-			filtered, err := ctx.filterRows(rel.rows, pred, exprPure(stmt.Where))
-			if err != nil {
-				return nil, nil, err
-			}
-			// cols are unchanged, so the column index built for the predicate
-			// compile carries over to the projection/aggregation passes.
-			rel = &relation{cols: rel.cols, rows: filtered, idx: rel.idx, sig: rel.sig}
-		}
-	}
-
-	aggregated := len(stmt.GroupBy) > 0 || stmt.Having != nil
-	if !aggregated {
-		for _, item := range stmt.Columns {
-			if item.Expr != nil && sqlparser.ContainsAggregate(item.Expr) {
-				aggregated = true
-				break
-			}
-		}
-	}
-
-	var out *ResultSet
-	var sortKeys [][]Value
-	if aggregated {
-		out, sortKeys, err = ctx.executeAggregate(stmt, rel, sel)
-	} else {
-		out, sortKeys, err = ctx.executeProjection(stmt, rel, sel)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	if stmt.Distinct {
-		out, sortKeys, err = ctx.dedupeRows(out, sortKeys)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return out, sortKeys, nil
-}
-
-// filterRows applies a compiled predicate to every row, preserving input
-// order. With a pure predicate and more than one morsel of input, the scan
-// fans out across workers: each morsel filters into its own buffer and the
+// filterRows applies a compiled pure (subquery-free) predicate to every row,
+// preserving input order. With more than one morsel of input, the scan fans
+// out across workers: each morsel filters into its own buffer and the
 // buffers concatenate in morsel order, so the kept-row order — and, because
 // workers stop a morsel at its first failing row and runSpans surfaces the
 // lowest failing morsel, the first error — match the serial loop exactly.
-func (ctx *execContext) filterRows(rows [][]Value, pred evalFn, pure bool) ([][]Value, error) {
+func (ctx *execContext) filterRows(rows [][]Value, pred evalFn) ([][]Value, error) {
 	spans := morselSpans(len(rows), ctx.morsel)
-	if !pure || ctx.workers <= 1 || len(spans) <= 1 {
+	if ctx.workers <= 1 || len(spans) <= 1 {
 		filtered := make([][]Value, 0, len(rows))
 		for i, row := range rows {
 			if i%ctx.morsel == 0 {
@@ -484,29 +405,6 @@ func (ctx *execContext) filterSel(rel *relation, pred batchExpr) ([]int, error) 
 		sel = append(sel, buf...)
 	}
 	return sel, nil
-}
-
-// buildFrom evaluates the FROM clause. An empty FROM yields one empty row so
-// that `SELECT 1` works.
-func (ctx *execContext) buildFrom(items []sqlparser.TableExpr) (*relation, error) {
-	if len(items) == 0 {
-		return &relation{rows: [][]Value{{}}}, nil
-	}
-	rel, err := ctx.buildTableExpr(items[0])
-	if err != nil {
-		return nil, err
-	}
-	for _, item := range items[1:] {
-		right, err := ctx.buildTableExpr(item)
-		if err != nil {
-			return nil, err
-		}
-		rel, err = ctx.crossJoin(rel, right)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
 }
 
 func (ctx *execContext) buildTableExpr(te sqlparser.TableExpr) (*relation, error) {
@@ -995,14 +893,11 @@ func outputName(item sqlparser.SelectItem, pos int) string {
 
 // executeProjection is the non-aggregated select path. Select-list
 // expressions and ORDER BY keys are compiled once against the input
-// relation before the row loop. sel, when non-nil, selects the input rows
-// (from the vectorized WHERE); the batch path consumes it directly, the
-// scalar path materializes it.
-func (ctx *execContext) executeProjection(stmt *sqlparser.SelectStmt, rel *relation, sel []int) (*ResultSet, [][]Value, error) {
+// relation before the row loop.
+func (ctx *execContext) executeProjection(stmt *sqlparser.SelectStmt, rel *relation) (*ResultSet, [][]Value, error) {
 	if ctx.vector && projectionPure(stmt) && projectionBatchWorthwhile(stmt) {
-		return ctx.executeProjectionBatch(stmt, rel, sel)
+		return ctx.executeProjectionBatch(stmt, rel)
 	}
-	rel = applySel(rel, sel)
 	names, pspecs, err := buildProjSpecs(stmt, rel)
 	if err != nil {
 		return nil, nil, err
@@ -1215,7 +1110,7 @@ func compileBatchSortKeys(rel *relation, ctx *execContext, orderBy []sqlparser.O
 // would hit; across morsels, runSpans keeps the lowest failing morsel.
 // Positional ORDER BY references out of range fail at the first row of the
 // current prefix, matching the row path's error-on-first-evaluated-row.
-func (ctx *execContext) executeProjectionBatch(stmt *sqlparser.SelectStmt, rel *relation, sel []int) (*ResultSet, [][]Value, error) {
+func (ctx *execContext) executeProjectionBatch(stmt *sqlparser.SelectStmt, rel *relation) (*ResultSet, [][]Value, error) {
 	names, specs, err := buildProjSpecs(stmt, rel)
 	if err != nil {
 		return nil, nil, err
@@ -1241,10 +1136,7 @@ func (ctx *execContext) executeProjectionBatch(stmt *sqlparser.SelectStmt, rel *
 		keySpecs = compileBatchSortKeys(rel, ctx, stmt.OrderBy, names)
 	}
 
-	ids := sel
-	if ids == nil {
-		ids = identitySel(len(rel.rows))
-	}
+	ids := identitySel(len(rel.rows))
 	out := &ResultSet{Columns: names}
 	spans := morselSpans(len(ids), ctx.spanSize(len(rel.cols)))
 	if len(spans) == 0 {
@@ -1446,10 +1338,10 @@ func compileSortKeys(rel *relation, ctx *execContext, orderBy []sqlparser.OrderI
 	return fns, nil
 }
 
-// evalSortKey computes ORDER BY key values for one output row. Each ORDER BY
-// expression resolves first against output aliases/positions, then against
-// the row environment.
-func evalSortKey(env *rowEnv, orderBy []sqlparser.OrderItem, out *ResultSet, outRow []Value) ([]Value, error) {
+// evalSortKey computes ORDER BY key values for one output row from output
+// positions and output column names only: after a set operation there is no
+// input row to evaluate any other expression against.
+func evalSortKey(orderBy []sqlparser.OrderItem, out *ResultSet, outRow []Value) ([]Value, error) {
 	key := make([]Value, len(orderBy))
 	for i, item := range orderBy {
 		// Positional reference: ORDER BY 2.
@@ -1475,15 +1367,8 @@ func evalSortKey(env *rowEnv, orderBy []sqlparser.OrderItem, out *ResultSet, out
 				continue
 			}
 		}
-		if env == nil {
-			return nil, fmt.Errorf("engine: ORDER BY expression %s not resolvable after set operation",
-				sqlparser.PrintExpr(item.Expr))
-		}
-		v, err := evalExpr(env, item.Expr)
-		if err != nil {
-			return nil, err
-		}
-		key[i] = v
+		return nil, fmt.Errorf("engine: ORDER BY expression %s not resolvable after set operation",
+			sqlparser.PrintExpr(item.Expr))
 	}
 	return key, nil
 }
@@ -1499,7 +1384,7 @@ func sortResult(ctx *execContext, out *ResultSet, orderBy []sqlparser.OrderItem,
 					return err
 				}
 			}
-			key, err := evalSortKey(nil, orderBy, out, row)
+			key, err := evalSortKey(orderBy, out, row)
 			if err != nil {
 				return err
 			}
@@ -1555,8 +1440,11 @@ func sortResult(ctx *execContext, out *ResultSet, orderBy []sqlparser.OrderItem,
 
 func applyLimitOffset(out *ResultSet, stmt *sqlparser.SelectStmt, ctx *execContext) error {
 	evalInt := func(e sqlparser.Expr) (int, error) {
-		env := &rowEnv{rel: &relation{}, row: nil, ctx: ctx}
-		v, err := evalExpr(env, e)
+		fn, err := compileExpr(&relation{}, ctx, e)
+		if err != nil {
+			return 0, err
+		}
+		v, err := fn(nil)
 		if err != nil {
 			return 0, err
 		}

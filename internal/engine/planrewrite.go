@@ -9,8 +9,8 @@ import (
 // Plan rewrites (DESIGN.md, "Plan rewrites"): one pure planning function per
 // SELECT body decides, from the FROM tree, the WHERE/ON conjuncts and the leaf
 // schemas alone, which conjuncts run below which join and which columns each
-// join still has to emit. The streaming executor consumes the result; the
-// materialized executor never sees it and stays the naive-plan oracle.
+// join still has to emit. The executor consumes the result; the empty plan
+// (nil) runs every WHERE above the joins and keeps every column.
 
 // selectPlan is the rewrite of one SELECT body. A nil *selectPlan is the
 // empty plan: the WHERE runs above the joins and every join emits every
@@ -91,7 +91,7 @@ func andAll(cs []conjunct) sqlparser.Expr {
 // false when a reference does not resolve uniquely or e holds a subquery —
 // and, with total set, when e could fail at run time: only column refs,
 // literals, comparisons, AND/OR/NOT, IS NULL, BETWEEN, LIKE and IN-lists can
-// never raise an error in compile.go/eval.go.
+// never raise an error in compile.go or kernels.go.
 func exprRefs(e sqlparser.Expr, rel *relation, total bool, refs []int) (_ []int, ok bool) {
 	ok = true
 	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {

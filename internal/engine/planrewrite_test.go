@@ -9,9 +9,9 @@ import (
 	"flexdp/internal/sqlparser"
 )
 
-// Tests for the plan rewrites (planrewrite.go): the streaming executor under a
-// plan must be indistinguishable from the materialized executor, which never
-// sees one — same rows, same order, same error text — and the mechanism
+// Tests for the plan rewrites (planrewrite.go): the executor under a plan
+// must be indistinguishable from the same executor under the empty plan —
+// same rows, same order, same error text — and the mechanism
 // (filters below joins, narrowed join output, memoisation, an untouched AST)
 // must be observable through the engine's own profile.
 
@@ -95,10 +95,62 @@ func rewriteCorpus() []string {
 	)
 }
 
+// selectBodies calls fn on every SELECT body in stmt's tree: the statement,
+// its CTEs and set-operation arms, and every derived table and expression
+// subquery at any depth.
+func selectBodies(stmt *sqlparser.SelectStmt, fn func(*sqlparser.SelectStmt)) {
+	if stmt == nil {
+		return
+	}
+	fn(stmt)
+	for _, cte := range stmt.With {
+		selectBodies(cte.Query, fn)
+	}
+	if stmt.SetOp != nil {
+		selectBodies(stmt.SetOp.Right, fn)
+	}
+	expr := func(e sqlparser.Expr) {
+		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+			switch n := x.(type) {
+			case *sqlparser.SubqueryExpr:
+				selectBodies(n.Query, fn)
+			case *sqlparser.ExistsExpr:
+				selectBodies(n.Query, fn)
+			case *sqlparser.InExpr:
+				selectBodies(n.Subquery, fn)
+			}
+			return true
+		})
+	}
+	var table func(sqlparser.TableExpr)
+	table = func(te sqlparser.TableExpr) {
+		switch x := te.(type) {
+		case *sqlparser.SubqueryTable:
+			selectBodies(x.Query, fn)
+		case *sqlparser.JoinExpr:
+			table(x.Left)
+			table(x.Right)
+			expr(x.On)
+		}
+	}
+	for _, te := range stmt.From {
+		table(te)
+	}
+	for _, item := range stmt.Columns {
+		expr(item.Expr)
+	}
+	for _, e := range append([]sqlparser.Expr{stmt.Where, stmt.Having, stmt.Limit, stmt.Offset}, stmt.GroupBy...) {
+		expr(e)
+	}
+	for _, item := range stmt.OrderBy {
+		expr(item.Expr)
+	}
+}
+
 // TestRewriteMatchesNaive is the optimised-vs-naive differential: every corpus
-// query under the streaming executor (which plans) against the materialized
-// one (which cannot), across workers × morsel size × memory budget, asserting
-// identical rows, row order and error text.
+// query as planned against the same query with the empty plan written into
+// its plan cache for every SELECT body, across workers × morsel size × memory
+// budget, asserting identical rows, row order and error text.
 func TestRewriteMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	db := rewriteTestDB(rng, 70)
@@ -106,11 +158,15 @@ func TestRewriteMatchesNaive(t *testing.T) {
 	base := db.ExecConfig()
 	rewritten := 0
 	for _, sql := range rewriteCorpus() {
+		naive, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := naive.plansFor(db.Version())
+		selectBodies(naive.stmt, func(s *sqlparser.SelectStmt) { plans.sp[s] = emptyPlan(s) })
 		ref := base
-		ref.MaterializeStages = true
 		ref.Parallelism = 1
-		db.SetExecConfig(ref)
-		want, wantErr := db.Query(sql)
+		want, wantErr := naive.ExecContextConfig(t.Context(), ref)
 		for _, workers := range []int{1, 4} {
 			for _, morsel := range []int{2, 0} {
 				for _, budget := range []int64{0, 64 << 10, 512} {
@@ -133,11 +189,7 @@ func TestRewriteMatchesNaive(t *testing.T) {
 				}
 			}
 		}
-		stmt, err := sqlparser.Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if (&execContext{db: db}).planFor(stmt) != nil {
+		if (&execContext{db: db}).planFor(naive.stmt) != nil {
 			rewritten++
 		}
 	}

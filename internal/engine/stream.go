@@ -586,8 +586,8 @@ type filterOp struct {
 	ids    [][]int
 }
 
-// newFilterOp compiles where against rel, choosing the batch kernel exactly
-// when the materialized executor would (vectorized mode, pure predicate).
+// newFilterOp compiles where against rel, choosing the batch kernel in
+// vectorized mode for a pure predicate and the row closure otherwise.
 func (ctx *execContext) newFilterOp(rel *relation, where sqlparser.Expr) (*filterOp, error) {
 	f := &filterOp{isPure: exprPure(where)}
 	if ctx.vector && f.isPure {
@@ -1009,8 +1009,8 @@ func (o *graceJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 
 // buildFromPipeline evaluates the FROM clause into a streaming pipeline under
 // the SELECT body's plan. The common single-item forms stream; the cross-join
-// chain of a multi-item FROM materializes pairwise exactly as the materialized
-// executor does.
+// chain of a multi-item FROM materializes pairwise, left to right. An empty
+// FROM yields one empty row so that `SELECT 1` works.
 func (ctx *execContext) buildFromPipeline(items []sqlparser.TableExpr, plan *selectPlan) (*pipeline, error) {
 	if len(items) == 0 {
 		return ctx.scanPipeline(&relation{rows: [][]Value{{}}}), nil
@@ -1087,22 +1087,26 @@ func (ctx *execContext) pushFilter(p *pipeline, pred sqlparser.Expr, detail stri
 }
 
 // filterRelation selects rel's rows passing the pure predicate pred, by
-// reference, exactly as the materialized executor's WHERE step does.
+// reference and in input order.
 func (ctx *execContext) filterRelation(rel *relation, pred sqlparser.Expr) (*relation, error) {
+	var rows [][]Value
 	if ctx.vector {
 		sel, err := ctx.filterSel(rel, compileBatchExpr(rel, ctx, pred))
 		if err != nil {
 			return nil, err
 		}
-		return applySel(rel, sel), nil
-	}
-	fn, err := compileExpr(rel, ctx, pred)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := ctx.filterRows(rel.rows, fn, true)
-	if err != nil {
-		return nil, err
+		rows = make([][]Value, len(sel))
+		for i, ri := range sel {
+			rows[i] = rel.rows[ri]
+		}
+	} else {
+		fn, err := compileExpr(rel, ctx, pred)
+		if err != nil {
+			return nil, err
+		}
+		if rows, err = ctx.filterRows(rel.rows, fn); err != nil {
+			return nil, err
+		}
 	}
 	return &relation{cols: rel.cols, rows: rows, idx: rel.idx, sig: rel.sig}, nil
 }
@@ -1221,7 +1225,7 @@ func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *rela
 // materialized scan, so it takes the original path unchanged.
 func (ctx *execContext) executeProjectionStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
 	if len(p.ops) == 0 {
-		return ctx.executeProjection(stmt, p.src, nil)
+		return ctx.executeProjection(stmt, p.src)
 	}
 	if ctx.vector && projectionPure(stmt) && projectionBatchWorthwhile(stmt) {
 		return ctx.executeProjectionBatchStream(stmt, p)

@@ -1,53 +1,100 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
 	"testing"
 )
 
-// Differential tests for the streaming morsel dataflow: the streamed executor
-// (the default) must return bit-identical results to the materialized
-// executor (ExecConfig.MaterializeStages) for every query of the parallel
-// corpus, at worker counts {1, 2, 8}, with and without vectorized kernels,
-// with and without a tiny memory budget. A separate test pins the point of
-// streaming: whole-query peak memory stays far below the source size for a
-// fully-foldable scan → filter → aggregate pipeline, with zero
-// pipeline-breaker materializations.
+// Differential tests for the streaming morsel dataflow: every query of the
+// parallel corpus and of the fixture spill corpus must reproduce its recorded
+// reference answer bit for bit at worker counts {1, 2, 8}, with and without
+// vectorized kernels, with and without a tiny memory budget. A separate test
+// pins the point of streaming: whole-query peak memory stays far below the
+// source size for a fully-foldable scan → filter → aggregate pipeline, with
+// zero pipeline-breaker materializations.
 
-// runStreamDifferential compares the materialized serial reference against
-// the streamed executor across the worker × budget × vectorized grid.
-func runStreamDifferential(t *testing.T, db *DB, queries []string, label string) {
+// streamedReferenceFile holds the reference answers. They were recorded by
+// the materialize-between-operators executor, serial and unbudgeted, before
+// that executor was removed; the engine no longer contains a second
+// executor that could regenerate them.
+const streamedReferenceFile = "testdata/streamed_reference.json"
+
+// referenceAnswer is one recorded query answer: its column names, its row
+// count, and the SHA-256 of its rows in the exact spill codec (AppendRow),
+// which keeps every value's kind and float bit pattern.
+type referenceAnswer struct {
+	Corpus  string   `json:"corpus"`
+	SQL     string   `json:"sql"`
+	Columns []string `json:"columns"`
+	Rows    int      `json:"rows"`
+	SHA256  string   `json:"sha256"`
+}
+
+// answerOf summarizes a result set the way the reference file records it.
+func answerOf(corpus, sql string, rs *ResultSet) referenceAnswer {
+	h := sha256.New()
+	var buf []byte
+	for _, row := range rs.Rows {
+		buf = AppendRow(buf[:0], row)
+		h.Write(buf)
+	}
+	return referenceAnswer{Corpus: corpus, SQL: sql, Columns: rs.Columns,
+		Rows: len(rs.Rows), SHA256: hex.EncodeToString(h.Sum(nil))}
+}
+
+// loadReference reads the recorded answers of one corpus, in corpus order.
+func loadReference(t *testing.T, corpus string) []referenceAnswer {
+	t.Helper()
+	data, err := os.ReadFile(streamedReferenceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []referenceAnswer
+	if err := json.Unmarshal(data, &all); err != nil {
+		t.Fatalf("%s: %v", streamedReferenceFile, err)
+	}
+	var out []referenceAnswer
+	for _, a := range all {
+		if a.Corpus == corpus {
+			out = append(out, a)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("%s: no answers recorded for corpus %q", streamedReferenceFile, corpus)
+	}
+	return out
+}
+
+// runStreamReference checks every recorded answer of one corpus against the
+// streamed executor across the worker × budget × vectorized grid.
+func runStreamReference(t *testing.T, db *DB, corpus string) {
 	t.Helper()
 	base := db.ExecConfig()
 	defer db.SetExecConfig(base)
-	for _, sql := range queries {
-		ref := base
-		ref.MaterializeStages = true
-		ref.Parallelism = 1
-		ref.MemoryBudget = 0
-		db.SetExecConfig(ref)
-		want, err := db.Query(sql)
-		if err != nil {
-			t.Fatalf("%s materialized %s: %v", label, sql, err)
-		}
+	for _, want := range loadReference(t, corpus) {
 		for _, workers := range []int{1, 2, 8} {
 			for _, budget := range []int64{0, 512} {
 				for _, novec := range []bool{false, true} {
 					cfg := base
-					cfg.MaterializeStages = false
 					cfg.Parallelism = workers
 					cfg.MemoryBudget = budget
 					cfg.DisableVectorized = novec
 					db.SetExecConfig(cfg)
-					got, err := db.Query(sql)
+					label := fmt.Sprintf("%s workers=%d budget=%d novec=%v %s",
+						corpus, workers, budget, novec, want.SQL)
+					rs, err := db.Query(want.SQL)
 					if err != nil {
-						t.Fatalf("%s workers=%d budget=%d novec=%v %s: %v",
-							label, workers, budget, novec, sql, err)
+						t.Fatalf("%s: %v", label, err)
 					}
-					if diff := resultsEqualExact(want, got); diff != "" {
-						t.Fatalf("%s workers=%d budget=%d novec=%v %s: %s",
-							label, workers, budget, novec, sql, diff)
+					got := answerOf(corpus, want.SQL, rs)
+					if !slices.Equal(got.Columns, want.Columns) || got.Rows != want.Rows || got.SHA256 != want.SHA256 {
+						t.Fatalf("%s:\ngot       %+v\nreference %+v", label, got, want)
 					}
 				}
 			}
@@ -55,29 +102,41 @@ func runStreamDifferential(t *testing.T, db *DB, queries []string, label string)
 	}
 }
 
-// TestStreamedMatchesMaterialized runs the morsel-executor corpus (joins
-// including outer, grouped aggregation, DISTINCT, ORDER BY, set operations,
-// subquery fallbacks) over randomized databases, requiring the streamed
-// executor to reproduce the materialized executor bit for bit across the
-// whole execution-config grid.
-func TestStreamedMatchesMaterialized(t *testing.T) {
+// streamReferenceDBs returns the databases the reference answers were
+// recorded over, keyed by corpus: two randomized trials of the morsel-executor
+// corpus (8-row morsels) and the fixture database (2-row morsels, so even
+// the fixture spans many morsels).
+func streamReferenceDBs(t *testing.T) map[string]*DB {
+	dbs := make(map[string]*DB)
 	rng := rand.New(rand.NewSource(977))
 	for trial := 0; trial < 2; trial++ {
 		db := parallelTestDB(rng, 80+rng.Intn(160))
 		db.SetTempDir(t.TempDir())
 		db.SetMorselSize(8)
-		runStreamDifferential(t, db, parallelQueries, fmt.Sprintf("trial %d", trial))
+		dbs[fmt.Sprintf("trial %d", trial)] = db
 	}
-}
-
-// TestStreamedMatchesMaterializedFixture reruns the join/ORDER BY spill
-// corpus on the fixture database: three tables, every join shape, a 2-row
-// morsel so even the fixture spans many morsels.
-func TestStreamedMatchesMaterializedFixture(t *testing.T) {
 	db := testDB(t)
 	db.SetTempDir(t.TempDir())
 	db.SetMorselSize(2)
-	runStreamDifferential(t, db, spillQueries, "fixture")
+	dbs["fixture"] = db
+	return dbs
+}
+
+// TestStreamedMatchesReference runs the morsel-executor corpus (joins
+// including outer, grouped aggregation, DISTINCT, ORDER BY, set operations,
+// subquery fallbacks) over two randomized databases, requiring every cell of
+// the execution-config grid to reproduce the recorded answers bit for bit.
+func TestStreamedMatchesReference(t *testing.T) {
+	dbs := streamReferenceDBs(t)
+	for _, corpus := range []string{"trial 0", "trial 1"} {
+		runStreamReference(t, dbs[corpus], corpus)
+	}
+}
+
+// TestStreamedMatchesReferenceFixture reruns the join/ORDER BY spill corpus
+// on the fixture database: three tables, every join shape.
+func TestStreamedMatchesReferenceFixture(t *testing.T) {
+	runStreamReference(t, streamReferenceDBs(t)["fixture"], "fixture")
 }
 
 // streamPeakDB builds a single wide table big enough that holding it
@@ -107,21 +166,32 @@ func streamPeakDB(rows int) *DB {
 // filter → ungrouped-aggregate query over a table far larger than the morsel
 // window folds incrementally, so the peak in-flight morsel footprint stays a
 // small fraction of the source relation and no stage materializes
-// (BreakerMaterializations stays zero). The streamed result must still match
-// the materialized executor bit for bit.
+// (BreakerMaterializations stays zero). The streamed result must still match,
+// bit for bit, plain loops over the table in row order: the streaming fold
+// accumulates in serial row order at every worker count.
 func TestStreamingBoundsPeakMemory(t *testing.T) {
 	const rows = 20000
 	const sql = `SELECT COUNT(*), SUM(v), AVG(f), MIN(v), MAX(f) FROM big WHERE v % 3 <> 0`
 
-	refDB := streamPeakDB(rows)
-	cfg := refDB.ExecConfig()
-	cfg.MaterializeStages = true
-	cfg.Parallelism = 1
-	refDB.SetExecConfig(cfg)
-	want, err := refDB.Query(sql)
-	if err != nil {
-		t.Fatalf("materialized reference: %v", err)
+	var count, sumV, minV int64
+	var sumF, maxF float64
+	for _, row := range streamPeakDB(rows).Table("big").Rows {
+		v, f := row[0].Int, row[1].Float
+		if v%3 == 0 {
+			continue
+		}
+		count++
+		sumV += v
+		sumF += f
+		if count == 1 || v < minV {
+			minV = v
+		}
+		if count == 1 || f > maxF {
+			maxF = f
+		}
 	}
+	want := &ResultSet{Columns: []string{"count", "sum", "avg", "min", "max"}, Rows: [][]Value{{
+		NewInt(count), NewInt(sumV), NewFloat(sumF / float64(count)), NewInt(minV), NewFloat(maxF)}}}
 
 	for _, workers := range []int{1, 2, 8} {
 		// Fresh database per worker count: PeakMorselBytes folds into the
@@ -136,7 +206,7 @@ func TestStreamingBoundsPeakMemory(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if diff := resultsEqualExact(want, got); diff != "" {
-			t.Fatalf("workers=%d streamed result diverged: %s", workers, diff)
+			t.Fatalf("workers=%d streamed result diverged from the row-order loops: %s", workers, diff)
 		}
 
 		st := db.SpillStats()

@@ -208,7 +208,8 @@ func Compare(a, b Value) int {
 }
 
 // Equal reports SQL equality of two non-null values; if either side is NULL
-// the result is false (callers needing 3VL use evalBinary).
+// the result is false (callers needing 3VL check IsNull first, as the
+// compiled comparisons do).
 func Equal(a, b Value) bool {
 	if a.IsNull() || b.IsNull() {
 		return false
