@@ -219,25 +219,6 @@ func (a *Analyzer) SensitivityAt(q *relalg.Query, k int) ([]float64, error) {
 	return out, nil
 }
 
-// MaxSensitivityAt returns the largest per-output sensitivity at distance k;
-// convenient for single-output counting queries.
-func (a *Analyzer) MaxSensitivityAt(q *relalg.Query, k int) (float64, error) {
-	ss, err := a.SensitivityAt(q, k)
-	if err != nil {
-		return 0, err
-	}
-	if len(ss) == 0 {
-		return 0, fmt.Errorf("core: query has no aggregated outputs")
-	}
-	m := ss[0]
-	for _, s := range ss[1:] {
-		if s > m {
-			m = s
-		}
-	}
-	return m, nil
-}
-
 func (a *Analyzer) valueRange(attr relalg.Attr) (float64, error) {
 	if attr.Computed() {
 		return 0, fmt.Errorf("core: value range unavailable for computed attribute %q",

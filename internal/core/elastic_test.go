@@ -141,10 +141,11 @@ func TestTriangleGolden(t *testing.T) {
 
 	// Full query: 3k² + 393k + 12871 per Figure 1.
 	for _, k := range []int{0, 1, 2, 10, 19, 100} {
-		s, err := a.MaxSensitivityAt(q, k)
+		ss, err := a.SensitivityAt(q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s := ss[0]
 		kk := float64(k)
 		if want := 3*kk*kk + 393*kk + 12871; s != want {
 			t.Errorf("sensitivity(k=%d) = %g, want %g", k, s, want)
@@ -208,10 +209,11 @@ func TestAllPublicQueryHasZeroStability(t *testing.T) {
 	m := baseMetrics()
 	m.MarkPublic("cities")
 	q, a := analyze(t, "SELECT COUNT(*) FROM cities", m)
-	s, err := a.MaxSensitivityAt(q, 4)
+	ss, err := a.SensitivityAt(q, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := ss[0]
 	if s != 0 {
 		t.Errorf("sensitivity = %g, want 0", s)
 	}
@@ -345,10 +347,11 @@ func TestStabilityMonotoneInK(t *testing.T) {
 		q, a := analyze(t, sql, baseMetrics())
 		prev := -1.0
 		for k := 0; k <= 50; k++ {
-			s, err := a.MaxSensitivityAt(q, k)
+			ss, err := a.SensitivityAt(q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
+			s := ss[0]
 			if s < prev {
 				t.Errorf("%q: sensitivity decreased at k=%d: %g < %g", sql, k, s, prev)
 			}

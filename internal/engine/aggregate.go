@@ -10,43 +10,18 @@ import (
 	"flexdp/internal/sqlparser"
 )
 
-// executeAggregate is the grouped-aggregation select path: it handles
-// GROUP BY, aggregate functions in the select list and HAVING, and the
-// implicit single group for aggregates without GROUP BY.
+// executeAggregate is the serial grouped-aggregation loop, for the
+// statements the streaming sink cannot evaluate (aggregateParallelizable):
+// subqueries, SELECT * with aggregation, and ill-formed aggregate calls. It
+// groups the materialized input by the GROUP BY keys, then evaluates HAVING,
+// the select list, and ORDER BY keys per group, reducing aggregates over the
+// group's rows; an aggregate without GROUP BY has one implicit group. stmt
+// has positional GROUP BY references already resolved.
 func (ctx *execContext) executeAggregate(stmt *sqlparser.SelectStmt, rel *relation) (*ResultSet, [][]Value, error) {
-	// Every materialized aggregation is a pipeline breaker: the full grouping
-	// state (or spill partitioning of it) stands between input and output.
+	// The grouping state over the full input is a pipeline breaker.
 	ctx.pstats.breaker(0)
 
-	// Resolve positional GROUP BY references (GROUP BY 1) to the
-	// corresponding select-list expressions.
-	if resolved, err := resolvePositionalGroupBy(stmt); err != nil {
-		return nil, nil, err
-	} else if resolved != nil {
-		clone := *stmt
-		clone.GroupBy = resolved
-		stmt = &clone
-	}
-
-	// Out-of-core path: when the grouping state (group index plus per-group
-	// value runs) would exceed the memory budget, hash-partition the input
-	// by group key to disk and aggregate partition by partition
-	// (aggspill.go). Checked before the parallel path so the budget bounds
-	// the per-worker partial tables too.
-	if out, keys, ok, err := ctx.tryExecuteAggregateSpilled(stmt, rel); ok {
-		return out, keys, err
-	}
-
-	// Morsel-parallel / vectorized path: partial aggregation per morsel with
-	// a deterministic morsel-order merge (aggregate_parallel.go). Falls
-	// through to the serial path for subquery-bearing statements and, in
-	// scalar mode, single-morsel inputs.
-	if out, keys, ok, err := ctx.tryExecuteAggregateParallel(stmt, rel); ok {
-		return out, keys, err
-	}
-
-	// Serial path: partition rows into groups keyed by the GROUP BY
-	// expressions.
+	// Partition rows into groups keyed by the GROUP BY expressions.
 	type group struct {
 		keyVals []Value
 		rows    [][]Value
@@ -179,10 +154,10 @@ func resolvePositionalGroupBy(stmt *sqlparser.SelectStmt) ([]sqlparser.Expr, err
 
 // exprCache holds compiled per-row evaluators keyed by AST node, shared
 // across the groups of one aggregation so each aggregate input is compiled
-// exactly once per query. It is mutex-guarded because the parallel
-// aggregation path evaluates groups from multiple workers; the serial path
-// pays one uncontended lock per compiled-expression lookup, which is per
-// group, not per row.
+// exactly once per query. It is mutex-guarded because the sink's output
+// phase and the spilled drain evaluate groups from multiple workers; the
+// serial loop pays one uncontended lock per compiled-expression lookup, which
+// is per group, not per row.
 type exprCache struct {
 	mu sync.RWMutex
 	m  map[sqlparser.Expr]evalFn
@@ -198,11 +173,11 @@ func newExprCache() *exprCache {
 // dependent columns).
 //
 // The environment has two backing modes. In serial mode rows holds the
-// group's full row list and aggregates reduce over it on demand. In
-// parallel mode par holds the group's merged partial-aggregation state
-// (ordered per-aggregate value runs, row count, first row) built by the
-// morsel workers, and slotOf maps each aggregate call in the statement to
-// its slot in that state; rows is nil.
+// group's full row list and aggregates reduce over it on demand. In sink
+// mode par holds the group's merged partial-aggregation state (per-slot
+// value runs or folds, row count, first row) built by the streaming sink,
+// and slotOf maps each aggregate call in the statement to its slot in that
+// state; rows is nil.
 type groupEnv struct {
 	ctx     *execContext
 	rel     *relation

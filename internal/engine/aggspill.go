@@ -73,87 +73,10 @@ func (st *aggSpillState) noteEvalErr(firstIdx int, err error) {
 	}
 }
 
-// tryExecuteAggregateSpilled routes a grouped aggregation through the
-// partitioned out-of-core path when its state would exceed the memory
-// budget; ok=false means the caller must aggregate in memory. stmt has
-// positional GROUP BY references already resolved.
-//
-// The gate mirrors the parallel path's (aggregateParallelizable): only
-// subquery-free statements with well-formed aggregate calls spill, so
-// impure closures never leave the serial scan and ill-formed calls surface
-// their errors — or stay latent on empty inputs — exactly as before. The
-// implicit single group of an aggregate without GROUP BY is irreducible by
-// key partitioning and stays in memory too.
-func (ctx *execContext) tryExecuteAggregateSpilled(stmt *sqlparser.SelectStmt, rel *relation) (*ResultSet, [][]Value, bool, error) {
-	if len(stmt.GroupBy) == 0 || !ctx.spill.Enabled() ||
-		!ctx.spill.ShouldSpill(estRowsBytes(rel.rows)) {
-		return nil, nil, false, nil
-	}
-	if !aggregateParallelizable(stmt, collectAggCalls(stmt)) {
-		return nil, nil, false, nil
-	}
-	out, keys, err := ctx.executeAggregateSpilled(stmt, rel)
-	return out, keys, true, err
-}
-
-func (ctx *execContext) executeAggregateSpilled(stmt *sqlparser.SelectStmt, rel *relation) (*ResultSet, [][]Value, error) {
-	keyFns := make([]evalFn, len(stmt.GroupBy))
-	for i, e := range stmt.GroupBy {
-		fn, err := compileExpr(rel, ctx, e)
-		if err != nil {
-			return nil, nil, err
-		}
-		keyFns[i] = fn
-	}
-
-	// Level-0 partitioning streams straight off the relation: rows are
-	// scanned in order and keys evaluated exactly as the serial grouping
-	// loop would, so the first key-evaluation error aborts identically.
-	fanout := graceFanout(estRowsBytes(rel.rows), ctx.spill.Budget())
-	ctx.spill.NoteAggSpill(fanout)
-	writers, abort, err := ctx.newPartitionWriters(fanout)
-	if err != nil {
-		return nil, nil, err
-	}
-	keyVals := make([]Value, len(keyFns))
-	var keyScratch, recScratch []byte
-	for idx, row := range rel.rows {
-		if idx%ctx.morsel == 0 {
-			if err := ctx.err(); err != nil {
-				abort()
-				return nil, nil, err
-			}
-		}
-		for i, fn := range keyFns {
-			v, err := fn(row)
-			if err != nil {
-				abort()
-				return nil, nil, err
-			}
-			keyVals[i] = v
-		}
-		keyScratch = AppendRowKey(keyScratch[:0], keyVals)
-		p := int(graceHash(keyScratch, 0) % uint64(fanout))
-		recScratch = binary.AppendUvarint(recScratch[:0], uint64(idx))
-		recScratch = AppendRow(recScratch, keyVals)
-		recScratch = AppendRow(recScratch, row)
-		if err := writers[p].Write(recScratch); err != nil {
-			abort()
-			return nil, nil, err
-		}
-	}
-	runs, err := finishPartitionWriters(writers, abort)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ctx.drainAggSpill(stmt, rel, runs, len(rel.rows))
-}
-
 // drainAggSpill aggregates the level-0 partition runs and assembles the
 // final result; totalRows is the number of input rows partitioned (the
-// parentLen bound for skew detection). Shared by the materialized spilled
-// aggregation above and the streaming spill sink (aggstream.go), which both
-// write identical partition records.
+// parentLen bound for skew detection), written by the streaming sink's
+// spill path (executeAggSpillStream in aggstream.go).
 func (ctx *execContext) drainAggSpill(stmt *sqlparser.SelectStmt, rel *relation,
 	runs []*spill.Run, totalRows int) (*ResultSet, [][]Value, error) {
 	fanout := len(runs)

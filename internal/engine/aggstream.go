@@ -7,24 +7,39 @@ import (
 	"flexdp/internal/sqlparser"
 )
 
-// Streaming aggregation sink (see stream.go for the pipeline driver).
+// Streaming grouped aggregation: the aggregation sink of the pipeline driver
+// (stream.go). Every SELECT body with aggregation ends here, a bare scan
+// with no pipeline operators included.
 //
-// Each morsel leaving the pipeline builds a per-morsel partial table exactly
-// as the morsel-parallel aggregation's phase 1 does; the ordered consumer
-// merges the tables in morsel order, reconstructing the canonical serial
-// value order. For the aggregates that admit it (COUNT/SUM/AVG/MIN/MAX) the
-// merged state folds incrementally per morsel — an ungrouped SUM over a
-// billion rows holds O(1) state instead of accumulating the value run — and
-// because the fold runs only on the single ordered consumer, its float
-// accumulation order is exactly the serial path's, keeping results
-// bit-identical at every worker count. MEDIAN/STDDEV slots keep their value
-// lists (their folds need the full population).
+// Each morsel leaving the pipeline builds a per-morsel partial table on a
+// worker: for every row it evaluates the GROUP BY keys, then every aggregate
+// call's argument, and collects the non-null (and, for DISTINCT, locally
+// deduped) values per group in scan order, along with the group's row count
+// and first row. The ordered consumer merges the tables strictly in morsel
+// order and, within a morsel, in group-discovery order. That reconstructs,
+// for every group and every aggregate, exactly the value sequence a serial
+// scan collects — including the global first-appearance order of the groups
+// and the first occurrence DISTINCT keeps. For the aggregates that admit it
+// (COUNT/SUM/AVG/MIN/MAX) the merged state folds incrementally — an
+// ungrouped SUM over a billion rows holds O(1) state instead of the value
+// run — and because the fold runs only on the single ordered consumer, its
+// float accumulation order is the serial one, keeping results bit-identical
+// at every worker count. MEDIAN/STDDEV slots keep their value lists (their
+// folds need the full population).
+//
+// The output phase (aggFinalize) evaluates HAVING, the select list, and
+// ORDER BY keys per merged group, fanning groups across workers; outputs
+// assemble in group order.
 //
 // When the grouping state would exceed the memory budget, the sink streams
-// the morsels straight into the same level-0 partition files the
-// materialized spilled aggregation writes (keys evaluated per row, rows
-// tagged with their running input position) and reuses its drain, so spill
-// recursion, skew handling, and output order are shared code.
+// the morsels into level-0 partition files instead (keys evaluated per row,
+// rows tagged with their running input position) and the partitioned drain
+// (aggspill.go) handles recursion, skew, and output order.
+//
+// Statements the sink cannot evaluate (aggregateParallelizable) materialize
+// and take the serial groupEnv loop (aggregate.go): subqueries, whose
+// compiled closures memoize results in unsynchronized captured state (see
+// exprPure), SELECT * with aggregation, and ill-formed calls.
 
 // slotFold is the incremental state replacing one slot's value run: enough
 // for COUNT/SUM/AVG/MIN/MAX, updated per value in canonical order. A slot can
@@ -107,16 +122,104 @@ func foldableName(name string) bool {
 	return false
 }
 
-// executeAggregateStream is the aggregation sink of the streaming executor.
-// A pipeline with no operators is an already-materialized scan and takes the
-// original aggregation path unchanged (including its own spill and parallel
-// routing); so do statements the parallel phase-1 cannot evaluate
-// (subqueries, ill-formed calls) and scalar single-worker execution, whose
-// serial reference loop is the determinism baseline.
-func (ctx *execContext) executeAggregateStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
-	if len(p.ops) == 0 {
-		return ctx.executeAggregate(stmt, p.src)
+// parAggState is one aggregate slot's partial state within one group: the
+// ordered non-null argument values, plus the dedup set for DISTINCT calls.
+// A foldable slot replaces the value list with an incremental fold; fold and
+// vals are mutually exclusive.
+type parAggState struct {
+	vals []Value
+	seen map[string]bool // non-nil only for DISTINCT calls
+	fold *slotFold       // non-nil only for foldable slots
+}
+
+// parGroup is one group's partial-aggregation state.
+type parGroup struct {
+	keyVals []Value
+	first   []Value // first row of the group in scan order (nil: empty group)
+	count   int64   // total rows, serving COUNT(*)
+	slots   []parAggState
+}
+
+// aggSlot is one distinct aggregate-argument computation: several
+// textually-identical calls (e.g. the same SUM in SELECT and HAVING) share
+// a slot so each argument is evaluated once per row.
+type aggSlot struct {
+	arg      evalFn
+	distinct bool
+}
+
+// collectAggCalls gathers every aggregate function call reachable from the
+// statement's select list, HAVING, and ORDER BY (GROUP BY cannot legally
+// contain aggregates; if it does, key compilation surfaces the same error as
+// the serial loop). Arguments of an aggregate are not descended into —
+// nested aggregates are rejected at evaluation time.
+func collectAggCalls(stmt *sqlparser.SelectStmt) []*sqlparser.FuncCall {
+	var calls []*sqlparser.FuncCall
+	add := func(e sqlparser.Expr) {
+		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+			if f, ok := x.(*sqlparser.FuncCall); ok && sqlparser.IsAggregateFunc(f.Name) {
+				calls = append(calls, f)
+				return false
+			}
+			return true
+		})
 	}
+	for _, item := range stmt.Columns {
+		add(item.Expr)
+	}
+	add(stmt.Having)
+	for _, o := range stmt.OrderBy {
+		add(o.Expr)
+	}
+	return calls
+}
+
+// aggregateParallelizable reports whether the streaming sink, and with it
+// the spilled aggregation, can evaluate the statement: every expression
+// subquery-free (closures are then stateless, safe for workers and for
+// partition-order evaluation) and every aggregate call well-formed. The rest
+// take the serial groupEnv loop, where ill-formed calls (SUM(*), wrong
+// arity) raise their errors — or stay latent on empty inputs.
+func aggregateParallelizable(stmt *sqlparser.SelectStmt, calls []*sqlparser.FuncCall) bool {
+	for _, item := range stmt.Columns {
+		if item.Star || item.TableStar != "" {
+			return false // the serial loop raises the star-with-aggregation error
+		}
+		if item.Expr != nil && !exprPure(item.Expr) {
+			return false
+		}
+	}
+	if stmt.Having != nil && !exprPure(stmt.Having) {
+		return false
+	}
+	for _, o := range stmt.OrderBy {
+		if !exprPure(o.Expr) {
+			return false
+		}
+	}
+	if !exprsPure(stmt.GroupBy) {
+		return false
+	}
+	for _, c := range calls {
+		if c.Star {
+			if c.Name != "COUNT" {
+				return false
+			}
+			continue
+		}
+		if len(c.Args) != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// executeAggregateStream is the aggregation sink of the streaming executor.
+// Statements aggregateParallelizable rejects materialize the pipeline and take
+// the serial loop (executeAggregate); grouped state over the memory budget
+// streams into the spilled aggregation; everything else aggregates per morsel
+// here.
+func (ctx *execContext) executeAggregateStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
 	if resolved, err := resolvePositionalGroupBy(stmt); err != nil {
 		return nil, nil, err
 	} else if resolved != nil {
@@ -125,7 +228,7 @@ func (ctx *execContext) executeAggregateStream(stmt *sqlparser.SelectStmt, p *pi
 		stmt = &clone
 	}
 	calls := collectAggCalls(stmt)
-	if !aggregateParallelizable(stmt, calls) || (!ctx.vector && ctx.workers <= 1) {
+	if !aggregateParallelizable(stmt, calls) {
 		rel, err := ctx.materializeStream(p)
 		if err != nil {
 			return nil, nil, err
@@ -139,8 +242,11 @@ func (ctx *execContext) executeAggregateStream(stmt *sqlparser.SelectStmt, p *pi
 
 	rel := p.rel
 
-	// Slot assignment, key/argument compilation: identical to the parallel
-	// path (aggregate_parallel.go) so the two cannot diverge on slot sharing.
+	// Assign each distinct (argument, DISTINCT) pair a slot — a slot holds
+	// the argument's per-group state, which every aggregate over that same
+	// input shares (SUM(x) and AVG(x) read one slot; the fold function is the
+	// caller's, not the slot's). PrintExpr is injective up to parse
+	// equivalence, making the dedup key sound.
 	slotIdx := make(map[string]int)
 	slotOf := make(map[*sqlparser.FuncCall]int, len(calls))
 	var slots []aggSlot
@@ -199,8 +305,8 @@ func (ctx *execContext) executeAggregateStream(stmt *sqlparser.SelectStmt, p *pi
 		}
 	}
 
-	// Per-morsel partial aggregation on the workers (the parallel path's
-	// phase 1, one shard per morsel). With one worker the morsels arrive
+	// Per-morsel partial aggregation on the workers, one shard per morsel.
+	// With one worker the morsels arrive
 	// inline in order, so a single shared table accumulates exactly what the
 	// per-morsel shards would merge to — same group discovery order, same
 	// per-slot value order — without the per-morsel maps or the merge pass;
@@ -470,11 +576,9 @@ func (ctx *execContext) executeAggregateStream(stmt *sqlparser.SelectStmt, p *pi
 // executeAggSpillStream streams morsels into the spilled aggregation's
 // level-0 partition files: workers evaluate the GROUP BY keys per selected
 // row (only the keys — argument evaluation is deferred to the partition
-// drain, as in the materialized spilled path), and the ordered consumer
-// writes each row's record tagged with its running input position, so the
-// partition files are byte-identical to the materialized path's over the
-// same surviving rows. The shared drain then handles recursion, skew, and
-// output-order restoration.
+// drain), and the ordered consumer writes each row's record tagged with its
+// running input position. The drain (aggspill.go) then handles recursion,
+// skew, and output-order restoration.
 func (ctx *execContext) executeAggSpillStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
 	rel := p.rel
 	keyFns := make([]evalFn, len(stmt.GroupBy))
@@ -546,4 +650,76 @@ func (ctx *execContext) executeAggSpillStream(stmt *sqlparser.SelectStmt, p *pip
 		atrace.setRowsOut(len(res.Rows))
 	}
 	return res, keys, err
+}
+
+// aggFinalize is the sink's output phase: per merged group it evaluates
+// HAVING, the select list, and ORDER BY keys, fanning one group per morsel
+// across workers; outputs assemble in group order.
+func (ctx *execContext) aggFinalize(stmt *sqlparser.SelectStmt, rel *relation,
+	groups []*parGroup, slotOf map[*sqlparser.FuncCall]int) (*ResultSet, [][]Value, error) {
+	var names []string
+	for i, item := range stmt.Columns {
+		if item.Star || item.TableStar != "" {
+			return nil, nil, fmt.Errorf("engine: SELECT * is not valid with aggregation")
+		}
+		names = append(names, outputName(item, i))
+	}
+	out := &ResultSet{Columns: names}
+	needSort := len(stmt.OrderBy) > 0
+	cache := newExprCache()
+
+	// Per-group evaluation (HAVING, select list, sort keys), fanned one group
+	// per morsel; outputs assemble in group order below.
+	type groupOut struct {
+		skip bool
+		row  []Value
+		key  []Value
+	}
+	results := make([]groupOut, len(groups))
+	err := ctx.runSpans(morselSpans(len(groups), 1), ctx.workers, func(_, gi int, _ span) error {
+		g := groups[gi]
+		genv := &groupEnv{ctx: ctx, rel: rel, groupBy: stmt.GroupBy, keyVals: g.keyVals,
+			cache: cache, par: g, slotOf: slotOf}
+		if stmt.Having != nil {
+			hv, err := genv.eval(stmt.Having)
+			if err != nil {
+				return err
+			}
+			if !hv.Truthy() {
+				results[gi].skip = true
+				return nil
+			}
+		}
+		row := make([]Value, len(stmt.Columns))
+		for i, item := range stmt.Columns {
+			v, err := genv.eval(item.Expr)
+			if err != nil {
+				return err
+			}
+			row[i] = v
+		}
+		results[gi].row = row
+		if needSort {
+			key, err := genv.sortKey(stmt.OrderBy, out, row)
+			if err != nil {
+				return err
+			}
+			results[gi].key = key
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var sortKeys [][]Value
+	for i := range results {
+		if results[i].skip {
+			continue
+		}
+		out.Rows = append(out.Rows, results[i].row)
+		if needSort {
+			sortKeys = append(sortKeys, results[i].key)
+		}
+	}
+	return out, sortKeys, nil
 }

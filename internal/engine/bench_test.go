@@ -108,6 +108,22 @@ func BenchmarkDistinct(b *testing.B) {
 	benchQuery(b, db, `SELECT DISTINCT driver_id, city_id FROM trips`)
 }
 
+// BenchmarkBareScanAggregate measures aggregation over a bare scan (no
+// WHERE, no join), whose scan morsels feed the aggregation sink directly:
+// an ungrouped COUNT(*) and a COUNT(*) into 20 groups over 60k rows.
+func BenchmarkBareScanAggregate(b *testing.B) {
+	db := benchDB(b, 60000)
+	for _, q := range []struct{ name, sql string }{
+		{"count", `SELECT COUNT(*) FROM trips`},
+		{"groupby", `SELECT city_id, COUNT(*) FROM trips GROUP BY city_id`},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			benchQuery(b, db, q.sql)
+		})
+	}
+}
+
 // benchVector runs one query with the batch kernels off (scalar: the
 // row-at-a-time closures) and on (vector), at one worker so the
 // sub-benchmarks isolate batching itself from parallel speedup.

@@ -891,127 +891,6 @@ func outputName(item sqlparser.SelectItem, pos int) string {
 	return fmt.Sprintf("col%d", pos)
 }
 
-// executeProjection is the non-aggregated select path. Select-list
-// expressions and ORDER BY keys are compiled once against the input
-// relation before the row loop.
-func (ctx *execContext) executeProjection(stmt *sqlparser.SelectStmt, rel *relation) (*ResultSet, [][]Value, error) {
-	if ctx.vector && projectionPure(stmt) && projectionBatchWorthwhile(stmt) {
-		return ctx.executeProjectionBatch(stmt, rel)
-	}
-	names, pspecs, err := buildProjSpecs(stmt, rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	type colSpec struct {
-		eval evalFn
-		star bool
-		from int // starting col index for stars
-		upto int
-	}
-	specs := make([]colSpec, len(pspecs))
-	for i, ps := range pspecs {
-		if ps.star {
-			specs[i] = colSpec{star: true, from: ps.from, upto: ps.upto}
-			continue
-		}
-		fn, err := compileExpr(rel, ctx, ps.expr)
-		if err != nil {
-			return nil, nil, err
-		}
-		specs[i] = colSpec{eval: fn}
-	}
-
-	out := &ResultSet{Columns: names}
-	var sortKeys [][]Value
-	needSort := len(stmt.OrderBy) > 0
-	var keyFns []sortKeyFn
-	if needSort {
-		fns, err := compileSortKeys(rel, ctx, stmt.OrderBy, names)
-		if err != nil {
-			return nil, nil, err
-		}
-		keyFns = fns
-	}
-	// project materializes output rows (and sort keys) for one input range.
-	project := func(lo, hi int) ([][]Value, [][]Value, error) {
-		rows := make([][]Value, 0, hi-lo)
-		var keys [][]Value
-		if needSort {
-			keys = make([][]Value, 0, hi-lo)
-		}
-		for i, row := range rel.rows[lo:hi] {
-			if i%ctx.morsel == 0 {
-				if err := ctx.err(); err != nil {
-					return nil, nil, err
-				}
-			}
-			outRow := make([]Value, 0, len(names))
-			for _, spec := range specs {
-				if spec.star {
-					outRow = append(outRow, row[spec.from:spec.upto]...)
-					continue
-				}
-				v, err := spec.eval(row)
-				if err != nil {
-					return nil, nil, err
-				}
-				outRow = append(outRow, v)
-			}
-			rows = append(rows, outRow)
-			if needSort {
-				key := make([]Value, len(keyFns))
-				for i, fn := range keyFns {
-					v, err := fn(row, outRow)
-					if err != nil {
-						return nil, nil, err
-					}
-					key[i] = v
-				}
-				keys = append(keys, key)
-			}
-		}
-		return rows, keys, nil
-	}
-
-	spans := morselSpans(len(rel.rows), ctx.morsel)
-	if ctx.workers > 1 && len(spans) > 1 && projectionPure(stmt) {
-		// Morsel-parallel projection: per-morsel output buffers concatenate
-		// in morsel order, so row order and sort keys match the serial scan.
-		rowBufs := make([][][]Value, len(spans))
-		keyBufs := make([][][]Value, len(spans))
-		err := ctx.runSpans(spans, ctx.workers, func(_, m int, s span) error {
-			rows, keys, err := project(s.lo, s.hi)
-			if err != nil {
-				return err
-			}
-			rowBufs[m], keyBufs[m] = rows, keys
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		total := 0
-		for _, buf := range rowBufs {
-			total += len(buf)
-		}
-		out.Rows = make([][]Value, 0, total)
-		for m := range rowBufs {
-			out.Rows = append(out.Rows, rowBufs[m]...)
-			if needSort {
-				sortKeys = append(sortKeys, keyBufs[m]...)
-			}
-		}
-		return out, sortKeys, nil
-	}
-
-	rows, keys, err := project(0, len(rel.rows))
-	if err != nil {
-		return nil, nil, err
-	}
-	out.Rows = rows
-	return out, keys, nil
-}
-
 // projSpec is one select item resolved against the input relation: either a
 // star copying the column range [from, upto) or an expression to evaluate.
 // Shared by the scalar and batch projection paths so output names and star
@@ -1096,155 +975,6 @@ func compileBatchSortKeys(rel *relation, ctx *execContext, orderBy []sqlparser.O
 		keys[i] = batchSortKey{eval: compileBatchExpr(rel, ctx, item.Expr)}
 	}
 	return keys
-}
-
-// executeProjectionBatch is the vectorized projection: every select-list
-// expression and computed ORDER BY key evaluates as a batch kernel over each
-// morsel's selection, and output rows materialize from the result vectors
-// into one slab per morsel. Per-morsel outputs concatenate in morsel order.
-//
-// Error determinism: within one morsel, each expression evaluates over the
-// prefix the previous expressions completed (the batchExpr contract), so the
-// surviving (row, expression) error is the first one the scalar row loop —
-// which evaluates select items then sort keys left to right for each row —
-// would hit; across morsels, runSpans keeps the lowest failing morsel.
-// Positional ORDER BY references out of range fail at the first row of the
-// current prefix, matching the row path's error-on-first-evaluated-row.
-func (ctx *execContext) executeProjectionBatch(stmt *sqlparser.SelectStmt, rel *relation) (*ResultSet, [][]Value, error) {
-	names, specs, err := buildProjSpecs(stmt, rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Map each expression spec to its result-vector slot.
-	vecSlot := make([]int, len(specs))
-	nEval := 0
-	for i, ps := range specs {
-		vecSlot[i] = nEval
-		if !ps.star {
-			nEval++
-		}
-	}
-	evals := make([]batchExpr, 0, nEval)
-	for _, ps := range specs {
-		if !ps.star {
-			evals = append(evals, compileBatchExpr(rel, ctx, ps.expr))
-		}
-	}
-	needSort := len(stmt.OrderBy) > 0
-	var keySpecs []batchSortKey
-	if needSort {
-		keySpecs = compileBatchSortKeys(rel, ctx, stmt.OrderBy, names)
-	}
-
-	ids := identitySel(len(rel.rows))
-	out := &ResultSet{Columns: names}
-	spans := morselSpans(len(ids), ctx.spanSize(len(rel.cols)))
-	if len(spans) == 0 {
-		out.Rows = [][]Value{}
-		return out, nil, nil
-	}
-	workers := spanWorkers(len(spans), ctx.workers)
-	type projWorker struct {
-		bc      *batchCtx
-		vecs    []*vector // select-list result vectors
-		keyVecs []*vector // computed ORDER BY key vectors
-	}
-	pws := make([]*projWorker, workers)
-	rowBufs := make([][][]Value, len(spans))
-	keyBufs := make([][][]Value, len(spans))
-	width := len(names)
-	err = ctx.runSpans(spans, workers, func(w, m int, s span) error {
-		pw := pws[w]
-		if pw == nil {
-			pw = &projWorker{bc: &batchCtx{rows: rel.rows}}
-			pw.vecs = make([]*vector, nEval)
-			for i := range pw.vecs {
-				pw.vecs[i] = &vector{}
-			}
-			pw.keyVecs = make([]*vector, len(keySpecs))
-			for i := range pw.keyVecs {
-				pw.keyVecs[i] = &vector{}
-			}
-			pws[w] = pw
-		}
-		msel := ids[s.lo:s.hi]
-
-		// Chained prefix evaluation: each expression sees only the rows every
-		// earlier expression completed, so nOK/evalErr end up at the
-		// row-major-first failure.
-		nOK := len(msel)
-		var evalErr error
-		for vi, fn := range evals {
-			n, err := fn(pw.bc, msel[:nOK], pw.vecs[vi])
-			if err != nil {
-				nOK, evalErr = n, err
-			}
-		}
-		for ki, ks := range keySpecs {
-			if ks.eval != nil {
-				n, err := ks.eval(pw.bc, msel[:nOK], pw.keyVecs[ki])
-				if err != nil {
-					nOK, evalErr = n, err
-				}
-				continue
-			}
-			if ks.check && (ks.pos < 0 || ks.pos >= width) && nOK > 0 {
-				nOK, evalErr = 0, fmt.Errorf("engine: ORDER BY position %d out of range", ks.want)
-			}
-		}
-
-		// Materialize output rows from the result vectors, one slab per morsel.
-		slab := make([]Value, 0, nOK*width)
-		rows := make([][]Value, 0, nOK)
-		for i := 0; i < nOK; i++ {
-			off := len(slab)
-			for si, ps := range specs {
-				if ps.star {
-					slab = append(slab, rel.rows[msel[i]][ps.from:ps.upto]...)
-					continue
-				}
-				slab = append(slab, pw.vecs[vecSlot[si]].value(i))
-			}
-			rows = append(rows, slab[off:len(slab):len(slab)])
-		}
-		rowBufs[m] = rows
-		if needSort {
-			keys := make([][]Value, nOK)
-			keySlab := make([]Value, nOK*len(keySpecs))
-			for i := 0; i < nOK; i++ {
-				key := keySlab[i*len(keySpecs) : (i+1)*len(keySpecs) : (i+1)*len(keySpecs)]
-				for ki, ks := range keySpecs {
-					if ks.eval != nil {
-						key[ki] = pw.keyVecs[ki].value(i)
-					} else {
-						key[ki] = rows[i][ks.pos]
-					}
-				}
-				keys[i] = key
-			}
-			keyBufs[m] = keys
-		}
-		return evalErr
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	total := 0
-	for _, buf := range rowBufs {
-		total += len(buf)
-	}
-	out.Rows = make([][]Value, 0, total)
-	var sortKeys [][]Value
-	if needSort {
-		sortKeys = make([][]Value, 0, total)
-	}
-	for m := range rowBufs {
-		out.Rows = append(out.Rows, rowBufs[m]...)
-		if needSort {
-			sortKeys = append(sortKeys, keyBufs[m]...)
-		}
-	}
-	return out, sortKeys, nil
 }
 
 // projectionPure reports whether a non-aggregated SELECT body's per-row

@@ -53,6 +53,12 @@ var parallelQueries = []string{
 	// Subquery-bearing statements: must fall back to serial and still agree.
 	`SELECT COUNT(*) FROM t WHERE k IN (SELECT k FROM u WHERE w > 30)`,
 	`SELECT COUNT(*) FROM t WHERE v > (SELECT MIN(w) FROM u)`,
+	// Bare scans (no WHERE, no join): the pipeline has no operators and the
+	// scan morsels feed the sink directly.
+	`SELECT k, f * 2.0 + 1.5 FROM t ORDER BY f, k`,
+	`SELECT k, v - (SELECT MIN(w) FROM u) FROM t`,
+	`SELECT k, COUNT(*) + (SELECT COUNT(*) FROM u) FROM t GROUP BY k`,
+	`SELECT MEDIAN(f), STDDEV(f), COUNT(DISTINCT s) FROM t`,
 }
 
 // parallelTestDB builds a randomized two-table database with NULLs mixed
@@ -217,39 +223,49 @@ func TestParallelPreparedMatchesSerial(t *testing.T) {
 }
 
 // TestParallelErrorDeterminism: a data-dependent evaluation error must
-// surface identically at every worker count (the runSpans lowest-morsel
-// rule). -5 halts the scan at the first negating of a string.
+// surface with the same text at every worker count (the runSpans
+// lowest-morsel rule) and with vectorized kernels on or off. Negating a
+// string halts the scan at its first row. The bare-scan cases feed scan
+// morsels straight into the projection and aggregation sinks.
 func TestParallelErrorDeterminism(t *testing.T) {
 	db := NewDB()
-	db.MustCreateTable("e", []Column{{Name: "x", Type: KindString}})
+	db.MustCreateTable("e", []Column{{Name: "x", Type: KindString}, {Name: "n", Type: KindInt}})
 	rows := make([][]Value, 100)
 	for i := range rows {
-		rows[i] = []Value{NewString(fmt.Sprintf("s%d", i))}
+		rows[i] = []Value{NewString(fmt.Sprintf("s%d", i)), NewInt(int64(i % 3))}
 	}
 	if err := db.InsertRows("e", rows); err != nil {
 		t.Fatal(err)
 	}
 	db.SetMorselSize(8)
-	queries := []string{
-		`SELECT COUNT(*) FROM e WHERE -x > 0`,
+	cases := []struct{ sql, want string }{
+		{`SELECT COUNT(*) FROM e WHERE -x > 0`, `engine: cannot negate STRING`},
 		// Both the GROUP BY key and the aggregate argument are unresolvable:
-		// the key error must win at every worker count, because phase 1
+		// the key error must win at every worker count, because the sink
 		// evaluates keys before aggregate arguments on each row, mirroring
-		// the serial path's grouping-before-reduction order.
-		`SELECT SUM(nosuch1) FROM e GROUP BY nosuch2`,
+		// the serial loop's grouping-before-reduction order.
+		{`SELECT SUM(nosuch1) FROM e GROUP BY nosuch2`, `engine: unknown column "nosuch2"`},
+		{`SELECT -x FROM e`, `engine: cannot negate STRING`},
+		{`SELECT COUNT(*), SUM(-x) FROM e`, `engine: cannot negate STRING`},
+		{`SELECT n, SUM(-x) FROM e GROUP BY n`, `engine: cannot negate STRING`},
+		{`SELECT SUM(*) FROM e`, `engine: SUM(*) is not valid`},
 	}
-	for _, sql := range queries {
-		var want error
+	base := db.ExecConfig()
+	defer db.SetExecConfig(base)
+	for _, c := range cases {
 		for _, workers := range []int{1, 2, 8} {
-			db.SetParallelism(workers)
-			_, err := db.Query(sql)
-			if err == nil {
-				t.Fatalf("workers=%d %s: expected error", workers, sql)
-			}
-			if want == nil {
-				want = err
-			} else if err.Error() != want.Error() {
-				t.Fatalf("workers=%d %s: error %q differs from serial %q", workers, sql, err, want)
+			for _, novec := range []bool{false, true} {
+				cfg := base
+				cfg.Parallelism = workers
+				cfg.DisableVectorized = novec
+				db.SetExecConfig(cfg)
+				_, err := db.Query(c.sql)
+				if err == nil {
+					t.Fatalf("workers=%d novec=%v %s: expected error", workers, novec, c.sql)
+				}
+				if err.Error() != c.want {
+					t.Fatalf("workers=%d novec=%v %s: error %q, want %q", workers, novec, c.sql, err, c.want)
+				}
 			}
 		}
 	}

@@ -117,6 +117,39 @@ func TestQueryProfileMatchesSpillDelta(t *testing.T) {
 	}
 }
 
+// TestBareScanProfileNamesSink: a bare scan (no WHERE, no join) streams its
+// scan morsels into the same sinks as every other pipeline, so its profile
+// lists the sink with every table row in and a scan that counted its morsels.
+func TestBareScanProfileNamesSink(t *testing.T) {
+	const rows = 500
+	db := streamPeakDB(rows)
+	for _, c := range []struct{ sql, sink string }{
+		{`SELECT s, COUNT(*) FROM big GROUP BY s`, "aggregate"},
+		{`SELECT COUNT(*), SUM(v), AVG(f) FROM big`, "aggregate"},
+		{`SELECT v, f * 2.0 + 1.5 FROM big`, "project_vec"},
+	} {
+		stmt, err := sqlparser.Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			cfg := ExecConfig{Parallelism: workers, MorselSize: 64}
+			var prof QueryProfile
+			cfg.Profile = &prof
+			if _, err := db.ExecuteContextConfig(context.Background(), stmt, cfg); err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, c.sql, err)
+			}
+			if scan := opByName(&prof, "scan"); scan == nil || scan.Morsels <= 0 {
+				t.Errorf("workers=%d %s: scan trace %+v, want morsels > 0", workers, c.sql, scan)
+			}
+			if sink := opByName(&prof, c.sink); sink == nil || sink.RowsIn != rows {
+				t.Errorf("workers=%d %s: %s trace %+v, want rows_in=%d in %+v",
+					workers, c.sql, c.sink, sink, rows, prof.Operators)
+			}
+		}
+	}
+}
+
 // TestExplainAnalyzeRendersMeasuredProfile runs EXPLAIN ANALYZE through the
 // SQL front end and checks the rendered numbers are the measured ones: the
 // scan/join cardinalities of the actual data and the exact spilled-bytes

@@ -1218,15 +1218,38 @@ func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *rela
 
 // ---- Projection sinks ----
 
+// projOut is one morsel's projected output rows and, when the statement has
+// an ORDER BY, their sort keys.
+type projOut struct {
+	rows [][]Value
+	keys [][]Value
+}
+
+// concatProjOuts joins the per-morsel outputs of a projection sink in morsel
+// order into one exactly-sized slice of rows (and of sort keys when needSort).
+func concatProjOuts(bufs []projOut, needSort bool) (rows, keys [][]Value) {
+	total := 0
+	for _, b := range bufs {
+		total += len(b.rows)
+	}
+	rows = make([][]Value, 0, total)
+	if needSort {
+		keys = make([][]Value, 0, total)
+	}
+	for _, b := range bufs {
+		rows = append(rows, b.rows...)
+		if needSort {
+			keys = append(keys, b.keys...)
+		}
+	}
+	return rows, keys
+}
+
 // executeProjectionStream is the non-aggregated sink: each morsel leaving the
 // pipeline projects to output rows (and ORDER BY keys) on a worker, and the
-// ordered consumer appends them — per-row work and output order are exactly
-// the materialized projection's. A pipeline with no operators is already a
-// materialized scan, so it takes the original path unchanged.
+// ordered consumer collects them in morsel order, so output order is the
+// scan's.
 func (ctx *execContext) executeProjectionStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
-	if len(p.ops) == 0 {
-		return ctx.executeProjection(stmt, p.src)
-	}
 	if ctx.vector && projectionPure(stmt) && projectionBatchWorthwhile(stmt) {
 		return ctx.executeProjectionBatchStream(stmt, p)
 	}
@@ -1263,12 +1286,6 @@ func (ctx *execContext) executeProjectionStream(stmt *sqlparser.SelectStmt, p *p
 		keyFns = fns
 	}
 
-	out := &ResultSet{Columns: names, Rows: [][]Value{}}
-	var sortKeys [][]Value
-	type projOut struct {
-		rows [][]Value
-		keys [][]Value
-	}
 	produce := func(_ int, m morsel) (any, error) {
 		in := m.dense()
 		rows := make([][]Value, 0, len(in))
@@ -1309,27 +1326,32 @@ func (ctx *execContext) executeProjectionStream(stmt *sqlparser.SelectStmt, p *p
 		}
 		return projOut{rows: rows, keys: keys}, nil
 	}
+	var bufs []projOut
 	produce, ptrace := ctx.prof.sink("project", produce)
 	err = p.run(ctx, projectionPure(stmt), produce, func(payload any) error {
-		po := payload.(projOut)
-		out.Rows = append(out.Rows, po.rows...)
-		if needSort {
-			sortKeys = append(sortKeys, po.keys...)
-		}
+		bufs = append(bufs, payload.(projOut))
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	ptrace.setRowsOut(len(out.Rows))
-	return out, sortKeys, nil
+	rows, sortKeys := concatProjOuts(bufs, needSort)
+	ptrace.setRowsOut(len(rows))
+	return &ResultSet{Columns: names, Rows: rows}, sortKeys, nil
 }
 
 // executeProjectionBatchStream is the vectorized projection sink: per worker,
 // every select-list expression and computed ORDER BY key evaluates as a batch
-// kernel over the morsel's selection, with the same chained-prefix error
-// semantics as the materialized batch projection (the surfaced error is the
-// row-major-first failure regardless of morsel boundaries).
+// kernel over the morsel's selection, and output rows materialize from the
+// result vectors into one slab per morsel.
+//
+// Error determinism: within one morsel, each expression evaluates over the
+// prefix the previous expressions completed (the batchExpr contract), so the
+// surviving (row, expression) error is the first one the scalar row loop —
+// which evaluates select items then sort keys left to right for each row —
+// would hit; across morsels, the ordered consumer keeps the lowest failing
+// morsel. Positional ORDER BY references out of range fail at the first row
+// of the current prefix, matching the row path's error-on-first-evaluated-row.
 func (ctx *execContext) executeProjectionBatchStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
 	rel := p.rel
 	names, specs, err := buildProjSpecs(stmt, rel)
@@ -1364,12 +1386,6 @@ func (ctx *execContext) executeProjectionBatchStream(stmt *sqlparser.SelectStmt,
 	}
 	var pws []*projWorker
 	width := len(names)
-	out := &ResultSet{Columns: names, Rows: [][]Value{}}
-	var sortKeys [][]Value
-	type projOut struct {
-		rows [][]Value
-		keys [][]Value
-	}
 	produce := func(w int, m morsel) (any, error) {
 		pw := pws[w]
 		if pw == nil {
@@ -1450,18 +1466,16 @@ func (ctx *execContext) executeProjectionBatchStream(stmt *sqlparser.SelectStmt,
 		return po, nil
 	}
 	pws = make([]*projWorker, p.planWorkers(ctx, true))
+	var bufs []projOut
 	produce, ptrace := ctx.prof.sink("project_vec", produce)
 	err = p.run(ctx, true, produce, func(payload any) error {
-		po := payload.(projOut)
-		out.Rows = append(out.Rows, po.rows...)
-		if needSort {
-			sortKeys = append(sortKeys, po.keys...)
-		}
+		bufs = append(bufs, payload.(projOut))
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	ptrace.setRowsOut(len(out.Rows))
-	return out, sortKeys, nil
+	rows, sortKeys := concatProjOuts(bufs, needSort)
+	ptrace.setRowsOut(len(rows))
+	return &ResultSet{Columns: names, Rows: rows}, sortKeys, nil
 }

@@ -230,14 +230,29 @@ func TestStreamingBoundsPeakMemory(t *testing.T) {
 
 // TestBreakerMaterializationsCounted is the converse: pipeline-breaking
 // shapes (grouped aggregation, join builds, DISTINCT) must report their
-// materializations through the same stat.
+// materializations through the same stat, with or without operators between
+// the scan and the sink. A bare ungrouped aggregate that folds every call
+// holds O(1) state and breaks nothing.
 func TestBreakerMaterializationsCounted(t *testing.T) {
-	db := streamPeakDB(500)
-	db.SetMorselSize(16)
-	if _, err := db.Query(`SELECT s, COUNT(*) FROM big WHERE v > 10 GROUP BY s`); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.SpillStats(); st.BreakerMaterializations == 0 {
-		t.Errorf("grouped aggregation reported no breaker materializations")
+	for _, c := range []struct {
+		sql     string
+		breaker bool
+	}{
+		{`SELECT s, COUNT(*) FROM big WHERE v > 10 GROUP BY s`, true},
+		{`SELECT s, COUNT(*) FROM big GROUP BY s`, true},
+		{`SELECT COUNT(*), SUM(v), AVG(f), MIN(v), MAX(f) FROM big`, false},
+	} {
+		db := streamPeakDB(500)
+		db.SetMorselSize(16)
+		if _, err := db.Query(c.sql); err != nil {
+			t.Fatal(err)
+		}
+		n := db.SpillStats().BreakerMaterializations
+		if c.breaker && n == 0 {
+			t.Errorf("%s: reported no breaker materializations", c.sql)
+		}
+		if !c.breaker && n != 0 {
+			t.Errorf("%s: reported %d breaker materializations, want 0", c.sql, n)
+		}
 	}
 }

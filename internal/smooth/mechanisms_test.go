@@ -70,61 +70,6 @@ func TestDistanceToHighSensitivity(t *testing.T) {
 	}
 }
 
-func TestMWEMImprovesOverUniform(t *testing.T) {
-	// Skewed histogram; range-query workload. MWEM's answers should beat
-	// the uniform synthetic baseline on average workload error.
-	trueHist := []float64{500, 300, 100, 50, 30, 10, 5, 5}
-	domain := len(trueHist)
-	var workload []LinearQuery
-	for lo := 0; lo < domain; lo++ {
-		for hi := lo; hi < domain; hi++ {
-			q := make(LinearQuery, domain)
-			for i := lo; i <= hi; i++ {
-				q[i] = 1
-			}
-			workload = append(workload, q)
-		}
-	}
-	var total float64
-	for _, v := range trueHist {
-		total += v
-	}
-	uniform := make([]float64, domain)
-	for i := range uniform {
-		uniform[i] = total / float64(domain)
-	}
-	avgErr := func(hist []float64) float64 {
-		var s float64
-		for _, q := range workload {
-			s += math.Abs(q.Eval(hist) - q.Eval(trueHist))
-		}
-		return s / float64(len(workload))
-	}
-
-	m := NewMWEM(7)
-	res, err := m.Run(trueHist, workload, 8, 5.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 8 {
-		t.Errorf("rounds = %d", res.Rounds)
-	}
-	if got, base := avgErr(res.Synthetic), avgErr(uniform); got >= base {
-		t.Errorf("MWEM avg error %.1f not better than uniform %.1f", got, base)
-	}
-	// Mass is preserved.
-	var mass float64
-	for _, v := range res.Synthetic {
-		mass += v
-	}
-	if math.Abs(mass-total) > 1e-6*total {
-		t.Errorf("synthetic mass = %g, want %g", mass, total)
-	}
-	if len(res.Answers) != len(workload) {
-		t.Errorf("answers = %d", len(res.Answers))
-	}
-}
-
 func TestExponentialMechanismPrefersHighScores(t *testing.T) {
 	m := NewExponentialMechanism(5)
 	scores := []float64{0, 0, 50, 0}
@@ -166,21 +111,5 @@ func TestExponentialMechanismValidation(t *testing.T) {
 	}
 	if _, err := m.Choose([]float64{1}, 1, 0); err == nil {
 		t.Error("zero epsilon")
-	}
-}
-
-func TestMWEMValidation(t *testing.T) {
-	m := NewMWEM(1)
-	if _, err := m.Run(nil, []LinearQuery{{1}}, 1, 1); err == nil {
-		t.Error("empty domain")
-	}
-	if _, err := m.Run([]float64{1}, nil, 1, 1); err == nil {
-		t.Error("empty workload")
-	}
-	if _, err := m.Run([]float64{1}, []LinearQuery{{1}}, 0, 1); err == nil {
-		t.Error("zero rounds")
-	}
-	if _, err := m.Run([]float64{-1}, []LinearQuery{{1}}, 1, 1); err == nil {
-		t.Error("negative cell")
 	}
 }

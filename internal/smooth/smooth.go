@@ -6,10 +6,9 @@
 //   - the Theorem 3 search cutoff k ≤ degree/β that makes the maximization
 //     independent of the database size,
 //   - a Laplace sampler and the FLEX mechanism of Definition 7
-//     (release q(x) + Lap(2S/ε)),
+//     (release q(x) + Lap(2S/ε)), and
 //   - privacy-budget accounting with sequential and strong composition
-//     (Section 4.3), and
-//   - the sparse vector technique as a budget-efficient query layer.
+//     (Section 4.3).
 package smooth
 
 import (

@@ -276,56 +276,3 @@ func TestStrongCompositionBeatsSequential(t *testing.T) {
 		t.Error("zero queries should cost nothing")
 	}
 }
-
-func TestSparseVector(t *testing.T) {
-	sv, err := NewSparseVector(11, 100, 1.0, 0.5, 0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Clearly-below probes should mostly return Above=false and never halt.
-	belowHits := 0
-	for i := 0; i < 50; i++ {
-		r, err := sv.Probe(-1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Above {
-			belowHits++
-		}
-	}
-	if belowHits > 3 {
-		t.Errorf("far-below probes returned above %d times", belowHits)
-	}
-	// Clearly-above probes release answers until the quota halts the vector.
-	released := sv.Releases()
-	for i := 0; released < 3; i++ {
-		if i > 200 {
-			t.Fatal("quota never reached")
-		}
-		r, err := sv.Probe(100000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Above {
-			released++
-		}
-	}
-	if _, err := sv.Probe(100000); err != ErrSVTHalted {
-		t.Errorf("expected halt, got %v", err)
-	}
-	if sv.TotalEpsilon() != 1.0 {
-		t.Errorf("TotalEpsilon = %g", sv.TotalEpsilon())
-	}
-}
-
-func TestSparseVectorValidation(t *testing.T) {
-	if _, err := NewSparseVector(1, 0, 0, 0.1, 0.1, 1); err == nil {
-		t.Error("zero sensitivity should fail")
-	}
-	if _, err := NewSparseVector(1, 0, 1, 0, 0.1, 1); err == nil {
-		t.Error("zero eps1 should fail")
-	}
-	if _, err := NewSparseVector(1, 0, 1, 0.1, 0.1, 0); err == nil {
-		t.Error("zero quota should fail")
-	}
-}
