@@ -3,7 +3,7 @@ GO ?= go
 # Benchmarks covered by the CI regression gate (serial hot paths only:
 # worker-scaling and RunParallel benches vary with the runner's core count
 # and would make cross-run comparison meaningless).
-GATE_ENGINE_BENCH = BenchmarkWhereFilter|BenchmarkHashJoin|BenchmarkJoinTemplates|BenchmarkGroupByAggregate|BenchmarkProjection|BenchmarkDistinct|BenchmarkBareScanAggregate|BenchmarkVectorFilter|BenchmarkVectorProject|BenchmarkStreamingPipeline
+GATE_ENGINE_BENCH = BenchmarkWhereFilter|BenchmarkHashJoin|BenchmarkJoinTemplates|BenchmarkJoinShapes|BenchmarkGroupByAggregate|BenchmarkProjection|BenchmarkDistinct|BenchmarkBareScanAggregate|BenchmarkVectorFilter|BenchmarkVectorProject|BenchmarkStreamingPipeline
 # Spill benches are disk-IO-bound and run only 1-3 iterations at 200ms, so
 # they get a longer benchtime for a stable median under the same 15% gate.
 GATE_SPILL_BENCH = BenchmarkSpillJoin|BenchmarkSpillSort|BenchmarkSpillAggregate

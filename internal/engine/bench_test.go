@@ -124,6 +124,24 @@ func BenchmarkBareScanAggregate(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinShapes measures the join shapes that have no equality key in
+// their ON clause, 2,000 trips × 500 drivers: a comma join linked by its
+// WHERE equality (a hash join), a CROSS JOIN (1 M pairs through the
+// empty-key probe) and a theta join (every pair tested by the residual).
+func BenchmarkJoinShapes(b *testing.B) {
+	db := joinShapesDB(2000, 500)
+	for _, q := range []struct{ name, sql string }{
+		{"comma", `SELECT COUNT(*) FROM trips, drivers WHERE trips.driver_id = drivers.id AND drivers.city = 3`},
+		{"cross", `SELECT COUNT(*) FROM trips CROSS JOIN drivers`},
+		{"theta", `SELECT COUNT(*) FROM trips t JOIN drivers d ON t.driver_id <= d.id AND t.driver_id >= d.id`},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			benchQuery(b, db, q.sql)
+		})
+	}
+}
+
 // benchVector runs one query with the batch kernels off (scalar: the
 // row-at-a-time closures) and on (vector), at one worker so the
 // sub-benchmarks isolate batching itself from parallel speedup.

@@ -247,14 +247,16 @@ func (ctx *execContext) executeSelect(stmt *sqlparser.SelectStmt) (*ResultSet, e
 // materialize rows. It additionally returns per-output-row sort keys for the
 // statement's ORDER BY expressions evaluated in the projection environment.
 func (ctx *execContext) executeCore(stmt *sqlparser.SelectStmt) (rs *ResultSet, sortKeys [][]Value, err error) {
-	// The plan says which WHERE/ON conjuncts run below which join and which
-	// columns each join still emits; what it left of the WHERE runs here.
+	// The plan says which WHERE/ON conjuncts run below which join, which
+	// equality keys each comma join and which columns each join still emits;
+	// what it left of the WHERE runs here. Its joins are keyed by the nodes
+	// of its own folded FROM, so that tree is the one to run.
 	plan := ctx.planFor(stmt)
-	where := stmt.Where
+	from, where := foldFrom(stmt.From), stmt.Where
 	if plan != nil {
-		where = plan.where
+		from, where = plan.from, plan.where
 	}
-	p, err := ctx.buildFromPipeline(stmt.From, plan)
+	p, err := ctx.buildFromPipeline(from, plan)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -433,17 +435,6 @@ func (ctx *execContext) buildTableExpr(te sqlparser.TableExpr) (*relation, error
 			return nil, err
 		}
 		return resultToRelation(rs, t.Alias), nil
-
-	case *sqlparser.JoinExpr:
-		left, err := ctx.buildTableExpr(t.Left)
-		if err != nil {
-			return nil, err
-		}
-		right, err := ctx.buildTableExpr(t.Right)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.join(t, left, right)
 	}
 	return nil, fmt.Errorf("engine: unsupported table expression %T", te)
 }
@@ -463,31 +454,6 @@ func resultToRelation(rs *ResultSet, alias string) *relation {
 		cols[i] = relCol{qual: qual, name: name}
 	}
 	return &relation{cols: cols, rows: rs.Rows}
-}
-
-// crossJoin materializes the cartesian product, polling the query context
-// once per left row — the product can dwarf both inputs, so cancellation
-// must be able to interrupt the output loop, not just the input scans.
-func (ctx *execContext) crossJoin(left, right *relation) (*relation, error) {
-	cols := append(append([]relCol{}, left.cols...), right.cols...)
-	n := len(left.rows) * len(right.rows)
-	ctx.pstats.breaker(estRowsBytes(left.rows) + estRowsBytes(right.rows))
-	rows := make([][]Value, 0, n)
-	// One backing slab for every output row: the result size is known
-	// exactly, so a single allocation replaces n per-row allocations.
-	slab := make([]Value, 0, n*len(cols))
-	for _, lr := range left.rows {
-		if err := ctx.err(); err != nil {
-			return nil, err
-		}
-		for _, rr := range right.rows {
-			off := len(slab)
-			slab = append(slab, lr...)
-			slab = append(slab, rr...)
-			rows = append(rows, slab[off:len(slab):len(slab)])
-		}
-	}
-	return &relation{cols: cols, rows: rows}, nil
 }
 
 // equiKey is one equality conjunct usable as a hash-join key: column
@@ -540,7 +506,7 @@ type joinProbe struct {
 
 // joinLayout is the shape of a join's output row: the columns of the left and
 // of the right input row it carries, in order. Nil lists keep the whole side
-// (the materialized join, an empty plan); nLeft/nRight count the columns taken.
+// (an empty plan); nLeft/nRight count the columns taken.
 type joinLayout struct {
 	keepL, keepR  []int
 	nLeft, nRight int
@@ -675,206 +641,6 @@ rowLoop:
 		}
 	}
 	return out, nil
-}
-
-func (ctx *execContext) join(t *sqlparser.JoinExpr, left, right *relation) (*relation, error) {
-	cols := append(append([]relCol{}, left.cols...), right.cols...)
-
-	if t.Kind == sqlparser.JoinCross {
-		return ctx.crossJoin(left, right)
-	}
-
-	var keys []equiKey
-	var residual []sqlparser.Expr
-	switch {
-	case len(t.Using) > 0:
-		for _, name := range t.Using {
-			li, err := left.findCol("", name)
-			if err != nil {
-				return nil, fmt.Errorf("engine: USING column %q: %w", name, err)
-			}
-			ri, err := right.findCol("", name)
-			if err != nil {
-				return nil, fmt.Errorf("engine: USING column %q: %w", name, err)
-			}
-			keys = append(keys, equiKey{leftIdx: li, rightIdx: ri})
-		}
-	case t.On != nil:
-		keys, residual = splitJoinCondition(t.On, left, right)
-	default:
-		return nil, fmt.Errorf("engine: join without condition")
-	}
-
-	combined := &relation{cols: cols}
-	matchedLeft := make([]bool, len(left.rows))
-	matchedRight := make([]bool, len(right.rows))
-
-	// Residual predicates are compiled once against the combined column
-	// layout instead of being re-walked for every candidate row pair.
-	resFns := make([]evalFn, len(residual))
-	for i, res := range residual {
-		fn, err := compileExpr(combined, ctx, res)
-		if err != nil {
-			return nil, err
-		}
-		resFns[i] = fn
-	}
-
-	switch {
-	case len(keys) > 0 && ctx.spill.Enabled() && ctx.spill.ShouldSpill(estRowsBytes(right.rows)):
-		// Out-of-core path: the build side exceeds the memory budget, so the
-		// join hash-partitions both inputs to disk and joins partition by
-		// partition (Grace join), producing the same rows in the same order
-		// as the in-memory build/probe below.
-		ctx.pstats.breaker(0) // partitioned build state lives on disk
-		rows, err := ctx.graceJoin(keys, resFns, left.rows, right.rows,
-			len(cols), matchedLeft, matchedRight)
-		if err != nil {
-			return nil, err
-		}
-		combined.rows = rows
-
-	case len(keys) > 0:
-		// Hash join: build on the right side (morsel-parallel when workers
-		// allow — see joinbuild.go), then probe with the left.
-		ctx.pstats.breaker(estRowsBytes(right.rows))
-		index, err := ctx.buildJoinIndex(keys, right.rows)
-		if err != nil {
-			return nil, err
-		}
-		probe := joinProbe{joinLayout: joinLayout{nLeft: len(left.cols), nRight: len(right.cols)},
-			keys: keys, index: index, right: right.rows, resFns: resFns, vector: ctx.vector}
-		spans := morselSpans(len(left.rows), ctx.morsel)
-		if ctx.workers > 1 && len(spans) > 1 && exprsPure(residual) {
-			// Morsel-parallel probe. Each left row belongs to exactly one
-			// morsel, so matchedLeft writes never collide; matchedRight can be
-			// hit by any worker, so each worker marks a private slice that is
-			// OR-merged afterwards. Per-morsel match buffers concatenate in
-			// morsel order, reproducing the serial left-to-right emit order.
-			workers := spanWorkers(len(spans), ctx.workers)
-			bufs := make([][][]Value, len(spans))
-			workerRight := make([][]bool, workers)
-			err := ctx.runSpans(spans, workers, func(w, m int, s span) error {
-				if workerRight[w] == nil {
-					workerRight[w] = make([]bool, len(right.rows))
-				}
-				buf, err := probe.scan(left.rows, s.lo, s.hi, matchedLeft, workerRight[w], nil)
-				if err != nil {
-					return err
-				}
-				bufs[m] = buf
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			total := 0
-			for _, buf := range bufs {
-				total += len(buf)
-			}
-			combined.rows = make([][]Value, 0, total)
-			for _, buf := range bufs {
-				combined.rows = append(combined.rows, buf...)
-			}
-			for _, mr := range workerRight {
-				for ri, hit := range mr {
-					if hit {
-						matchedRight[ri] = true
-					}
-				}
-			}
-		} else {
-			rows, err := probe.scan(left.rows, 0, len(left.rows), matchedLeft, matchedRight, nil)
-			if err != nil {
-				return nil, err
-			}
-			combined.rows = rows
-		}
-
-	default:
-		// Nested-loop join on the full predicate (serial: the quadratic
-		// fallback is dominated by predicate evaluation over every pair, and
-		// residuals here may embed subquery state that is not worker-safe).
-		emit := func(li, ri int) error {
-			row := make([]Value, 0, len(cols))
-			row = append(row, left.rows[li]...)
-			row = append(row, right.rows[ri]...)
-			for _, fn := range resFns {
-				v, err := fn(row)
-				if err != nil {
-					return err
-				}
-				if !v.Truthy() {
-					return nil
-				}
-			}
-			matchedLeft[li] = true
-			matchedRight[ri] = true
-			combined.rows = append(combined.rows, row)
-			return nil
-		}
-		for li := range left.rows {
-			if err := ctx.err(); err != nil {
-				return nil, err
-			}
-			for ri := range right.rows {
-				if err := emit(li, ri); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	// Outer-join padding.
-	pad := func(src *relation, idx int, leftSide bool) {
-		row := make([]Value, 0, len(cols))
-		if leftSide {
-			row = append(row, src.rows[idx]...)
-			for range right.cols {
-				row = append(row, Null)
-			}
-		} else {
-			for range left.cols {
-				row = append(row, Null)
-			}
-			row = append(row, src.rows[idx]...)
-		}
-		combined.rows = append(combined.rows, row)
-	}
-	// Padding scans the full input side, so it polls at morsel boundaries
-	// like every other unbounded row loop (the one-morsel cancellation
-	// contract covers the padding phase too).
-	padSide := func(src *relation, matched []bool, leftSide bool) error {
-		for i := range src.rows {
-			if i%ctx.morsel == 0 {
-				if err := ctx.err(); err != nil {
-					return err
-				}
-			}
-			if !matched[i] {
-				pad(src, i, leftSide)
-			}
-		}
-		return nil
-	}
-	switch t.Kind {
-	case sqlparser.JoinLeft:
-		if err := padSide(left, matchedLeft, true); err != nil {
-			return nil, err
-		}
-	case sqlparser.JoinRight:
-		if err := padSide(right, matchedRight, false); err != nil {
-			return nil, err
-		}
-	case sqlparser.JoinFull:
-		if err := padSide(left, matchedLeft, true); err != nil {
-			return nil, err
-		}
-		if err := padSide(right, matchedRight, false); err != nil {
-			return nil, err
-		}
-	}
-	return combined, nil
 }
 
 // outputName derives the column name for a select item.

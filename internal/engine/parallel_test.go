@@ -59,6 +59,24 @@ var parallelQueries = []string{
 	`SELECT k, v - (SELECT MIN(w) FROM u) FROM t`,
 	`SELECT k, COUNT(*) + (SELECT COUNT(*) FROM u) FROM t GROUP BY k`,
 	`SELECT MEDIAN(f), STDDEV(f), COUNT(DISTINCT s) FROM t`,
+	// Comma, CROSS, key-less and right-nested joins: comma items linked by a
+	// WHERE equality (with NULL keys on both sides) or not linked at all, a
+	// non-total WHERE that keeps the product streamed, CTE and derived-table
+	// items, key-less joins of every kind (padding order), a parenthesized
+	// build side, and a key-less join whose residual holds a subquery.
+	`SELECT t.v, u.w FROM t, u WHERE t.k = u.k AND u.w < 10`,
+	`SELECT t.k, COUNT(*), SUM(u.w) FROM t, u WHERE u.k = t.k AND t.v > 20 GROUP BY t.k ORDER BY t.k`,
+	`SELECT COUNT(*), SUM(t.v * u.w) FROM t, u WHERE t.v < u.w`,
+	`SELECT t.v, u.name FROM t, u WHERE t.k = u.k AND t.v / u.w > 1`,
+	`WITH c AS (SELECT k, COUNT(*) AS n FROM u GROUP BY k) SELECT t.v, c.n FROM t, c WHERE t.k = c.k AND t.v > 80`,
+	`SELECT t.v, d.w FROM t, (SELECT k, w FROM u WHERE w > 40) d WHERE t.k = d.k`,
+	`SELECT t.k, u.name FROM t CROSS JOIN u WHERE t.v > 95 AND u.w < 5`,
+	`SELECT t.v, u.w FROM t JOIN u ON t.v < u.w AND u.w > 45`,
+	`SELECT t.k, t.v, u.w FROM t LEFT JOIN u ON t.v > u.w AND u.w > 50`,
+	`SELECT t.v, u.w, u.name FROM t RIGHT JOIN u ON t.v < u.w AND t.v < 3`,
+	`SELECT t.v, u.w FROM t FULL JOIN u ON t.v < u.w AND t.v < 5`,
+	`SELECT t.v, u.w, u2.name FROM t JOIN (u JOIN u u2 ON u.k = u2.k AND u2.w > 50) ON t.k = u.k AND t.v > 90`,
+	`SELECT COUNT(*) FROM t JOIN u ON t.v < u.w AND u.w > (SELECT AVG(v) FROM t)`,
 }
 
 // parallelTestDB builds a randomized two-table database with NULLs mixed
@@ -226,7 +244,9 @@ func TestParallelPreparedMatchesSerial(t *testing.T) {
 // surface with the same text at every worker count (the runSpans
 // lowest-morsel rule) and with vectorized kernels on or off. Negating a
 // string halts the scan at its first row. The bare-scan cases feed scan
-// morsels straight into the projection and aggregation sinks.
+// morsels straight into the projection and aggregation sinks; the join cases
+// (comma items under a non-total WHERE, CROSS, key-less ON residuals, a
+// parenthesized build side) fail on an early pair of a streamed product.
 func TestParallelErrorDeterminism(t *testing.T) {
 	db := NewDB()
 	db.MustCreateTable("e", []Column{{Name: "x", Type: KindString}, {Name: "n", Type: KindInt}})
@@ -249,6 +269,15 @@ func TestParallelErrorDeterminism(t *testing.T) {
 		{`SELECT COUNT(*), SUM(-x) FROM e`, `engine: cannot negate STRING`},
 		{`SELECT n, SUM(-x) FROM e GROUP BY n`, `engine: cannot negate STRING`},
 		{`SELECT SUM(*) FROM e`, `engine: SUM(*) is not valid`},
+		{`SELECT COUNT(*) FROM e, e f WHERE e.n = f.n AND -f.x > 0`, `engine: cannot negate STRING`},
+		{`SELECT COUNT(*) FROM e, e f, e g WHERE e.n = g.n AND f.n = g.n AND -g.x > 0`, `engine: cannot negate STRING`},
+		{`SELECT COUNT(*) FROM e CROSS JOIN e f WHERE -f.x > 0`, `engine: cannot negate STRING`},
+		{`SELECT COUNT(*) FROM e JOIN e f ON e.n < f.n AND -f.x > 0`, `engine: cannot negate STRING`},
+		{`SELECT e.n FROM e LEFT JOIN e f ON e.n < f.n AND -f.x > 0`, `engine: cannot negate STRING`},
+		{`SELECT COUNT(*) FROM e JOIN (e f JOIN e g ON f.n = g.n) ON e.n < f.n AND -g.x > 0`, `engine: cannot negate STRING`},
+		{`SELECT COUNT(*) FROM e, e f WHERE n = 1`, `engine: ambiguous column "n"`},
+		{`SELECT COUNT(*) FROM e, e f WHERE e.n = f.nosuch`, `engine: unknown column f.nosuch`},
+		{`SELECT COUNT(*) FROM e JOIN e f ON e.n < f.nosuch`, `engine: unknown column f.nosuch`},
 	}
 	base := db.ExecConfig()
 	defer db.SetExecConfig(base)

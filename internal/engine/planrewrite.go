@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 
 	"flexdp/internal/sqlparser"
@@ -13,9 +14,12 @@ import (
 // (nil) runs every WHERE above the joins and keeps every column.
 
 // selectPlan is the rewrite of one SELECT body. A nil *selectPlan is the
-// empty plan: the WHERE runs above the joins and every join emits every
-// column.
+// empty plan: the WHERE runs above the joins, every join emits every column
+// and no comma join is linked.
 type selectPlan struct {
+	// from is the body's FROM folded into one join tree (foldFrom); joins is
+	// keyed by its nodes, so the executor must run this tree, not a re-fold.
+	from  sqlparser.TableExpr
 	where sqlparser.Expr // conjunction left above the joins; nil when all were pushed
 	joins map[*sqlparser.JoinExpr]joinPlan
 }
@@ -24,6 +28,7 @@ type selectPlan struct {
 type joinPlan struct {
 	pushLeft, pushRight sqlparser.Expr   // filter to run on that input below the join; nil for none
 	onPushed            []sqlparser.Expr // ON conjuncts moved into a push filter, dropped from the residuals
+	link                sqlparser.Expr   // the WHERE equality a CROSS join is keyed on; nil for none
 	keep                []int            // combined-layout positions the join emits; nil for all
 }
 
@@ -34,13 +39,39 @@ func (sp *selectPlan) join(t *sqlparser.JoinExpr) joinPlan {
 	return sp.joins[t]
 }
 
-// joinRoot returns the join tree that is a plannable body's whole FROM, or nil.
-func joinRoot(stmt *sqlparser.SelectStmt) *sqlparser.JoinExpr {
+// hasJoin reports whether a SELECT body's FROM joins anything: several
+// comma-separated items or one join tree.
+func hasJoin(stmt *sqlparser.SelectStmt) bool {
 	if len(stmt.From) != 1 {
+		return len(stmt.From) > 1
+	}
+	_, ok := stmt.From[0].(*sqlparser.JoinExpr)
+	return ok
+}
+
+// foldFrom folds a FROM list into one table expression, the comma-separated
+// items into a left-deep chain of CROSS joins; nil for an empty FROM.
+func foldFrom(items []sqlparser.TableExpr) sqlparser.TableExpr {
+	if len(items) == 0 {
 		return nil
 	}
-	top, _ := stmt.From[0].(*sqlparser.JoinExpr)
-	return top
+	te := items[0]
+	for _, item := range items[1:] {
+		te = &sqlparser.JoinExpr{Kind: sqlparser.JoinCross, Left: te, Right: item}
+	}
+	return te
+}
+
+// isLink reports whether c is an equality of two columns, one on each side of
+// a join whose right input starts at column mid: relalg's linkCommaJoin rule.
+func isLink(c conjunct, mid int) bool {
+	b, ok := c.expr.(*sqlparser.BinaryExpr)
+	if !ok || b.Op != "=" || len(c.refs) != 2 {
+		return false
+	}
+	_, lok := b.Left.(*sqlparser.ColumnRef)
+	_, rok := b.Right.(*sqlparser.ColumnRef)
+	return lok && rok && refSide(c.refs, mid) == 0
 }
 
 // conjunct is one AND-operand with the global column ids it references.
@@ -124,18 +155,23 @@ func exprRefs(e sqlparser.Expr, rel *relation, total bool, refs []int) (_ []int,
 	return refs, ok
 }
 
-// planSelect plans one SELECT body whose FROM is a single left-deep join chain
-// over named tables; schema returns a leaf's columns. It returns nil — the
-// empty plan — for every other shape, and whenever some WHERE/ON conjunct is
-// not total or some reference in them does not resolve uniquely, so a pushed
-// predicate can neither introduce nor mask a run-time error.
+// planSelect plans one SELECT body whose FROM, comma items folded into CROSS
+// joins, is a single left-deep join chain over named tables; schema returns a
+// leaf's columns. It returns nil — the empty plan — for every other shape,
+// and whenever some WHERE/ON conjunct is not total or some reference in them
+// does not resolve uniquely, so a pushed predicate can neither introduce nor
+// mask a run-time error.
 //
-// Legality: a WHERE conjunct (or one arriving from a join above) that
-// references only the left input moves below an INNER or LEFT join, one that
-// references only the right input below an INNER or RIGHT join; a single-side
-// ON conjunct moves below an INNER join only; nothing crosses FULL or CROSS.
+// Legality (CROSS counts as INNER): a WHERE conjunct (or one arriving from a
+// join above) that references only the left input moves below an INNER or
+// LEFT join, one that references only the right input below an INNER or
+// RIGHT join; a single-side ON conjunct moves below an INNER join only;
+// nothing crosses FULL. At a CROSS join the first arriving conjunct that
+// equates a column of each input becomes the join's link, its hash key — the
+// equality relalg's linkCommaJoin keys the same join on.
 func planSelect(stmt *sqlparser.SelectStmt, schema func(*sqlparser.TableName) ([]relCol, bool)) *selectPlan {
-	top := joinRoot(stmt)
+	from := foldFrom(stmt.From)
+	top, _ := from.(*sqlparser.JoinExpr)
 	if top == nil {
 		return nil
 	}
@@ -232,17 +268,16 @@ orderBy:
 		}
 	}
 
-	sp := &selectPlan{joins: make(map[*sqlparser.JoinExpr]joinPlan, n)}
+	sp := &selectPlan{from: from, joins: make(map[*sqlparser.JoinExpr]joinPlan, n)}
 	plans := make([]joinPlan, n)
-	prunable := make([]bool, n)
 	for i := n - 1; i >= 0; i-- {
 		j, mid, hi := chain[i], ends[i], ends[i+1]
 		left, right := &relation{cols: cols[:mid]}, &relation{cols: cols[mid:hi]}
 		var on []conjunct
 		residual := map[sqlparser.Expr]bool{}
+		jp := &plans[i]
 		switch {
 		case len(j.Using) > 0:
-			prunable[i] = true
 			for _, name := range j.Using {
 				li, lerr := left.findCol("", name)
 				if _, rerr := right.findCol("", name); lerr != nil || rerr != nil {
@@ -254,19 +289,23 @@ orderBy:
 			if on, ok = total(conjuncts(j.On, nil), &relation{cols: cols[:hi]}); !ok {
 				return nil
 			}
-			keys, res := splitJoinCondition(j.On, left, right)
-			prunable[i] = len(keys) > 0
+			_, res := splitJoinCondition(j.On, left, right)
 			for _, e := range res {
 				residual[e] = true
 			}
+		case j.Kind == sqlparser.JoinCross:
+			if k := slices.IndexFunc(incoming, func(c conjunct) bool { return isLink(c, mid) }); k >= 0 {
+				jp.link = incoming[k].expr
+				raise(incoming[k].refs, i-1) // a key: read from the inputs
+				incoming = slices.Delete(incoming, k, k+1)
+			}
 		}
-		jp := &plans[i]
 		var toLeft, toRight, stay []conjunct
-		// place routes one conjunct; ON conjuncts move only below a join that
-		// will drop them from its residuals (the streaming probe).
+		// place routes one conjunct; the join drops pushed ON conjuncts from
+		// its residuals.
 		place := func(c conjunct, fromOn bool) bool {
 			side := refSide(c.refs, mid)
-			inner := j.Kind == sqlparser.JoinInner && (!fromOn || prunable[i])
+			inner := j.Kind == sqlparser.JoinInner || j.Kind == sqlparser.JoinCross
 			switch {
 			case side < 0 && (inner || (!fromOn && j.Kind == sqlparser.JoinLeft)):
 				toLeft = append(toLeft, c)
@@ -315,7 +354,7 @@ orderBy:
 		for g := ends[i]; g < ends[i+1]; g++ {
 			layout = append(layout, g)
 		}
-		if !keepAll && prunable[i] {
+		if !keepAll {
 			keep, kept := []int{}, []int(nil) // keep stays non-nil: nil would mean "all"
 			for p, g := range layout {
 				if level[g] >= i {

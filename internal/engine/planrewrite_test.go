@@ -3,9 +3,11 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"flexdp/internal/relalg"
 	"flexdp/internal/sqlparser"
 )
 
@@ -92,6 +94,19 @@ func rewriteCorpus() []string {
 		"WITH hot AS (SELECT k, w FROM u WHERE w > 20) SELECT COUNT(*), MIN(hot.w) FROM t JOIN hot ON t.k = hot.k WHERE t.v < 50 AND hot.w < 55",
 		"SELECT DISTINCT u.name FROM t JOIN u ON t.k = u.k WHERE t.f > 50.0",
 		"SELECT t.s, COUNT(DISTINCT u.w) FROM t JOIN u ON t.k = u.k WHERE u.w > 10 GROUP BY t.s HAVING COUNT(*) > 1 ORDER BY t.s",
+		// Comma and CROSS joins: linked, linked out of WHERE order, partly
+		// linked, unlinked, non-total, ambiguous; key-less ON joins.
+		"SELECT t.v, u.name FROM t, u WHERE t.k = u.k AND t.v > 30",
+		"SELECT COUNT(*), SUM(x.w) FROM t, u, x WHERE u.w = x.w AND t.k = u.k AND x.tag <> 'tag0'",
+		"SELECT t.v, x.tag FROM t, u, x WHERE t.k = u.k AND t.v > 80 ORDER BY x.tag, t.v, u.w",
+		"SELECT COUNT(*), MAX(u.w) FROM t, u WHERE t.v < u.w AND u.w < 10",
+		"SELECT COUNT(*) FROM t, u WHERE t.k = u.k AND t.v + u.w > 50",
+		"SELECT COUNT(*) FROM t, u WHERE k = 1 AND t.v > 10",
+		"SELECT * FROM t, u WHERE u.k = t.k AND u.w < 5",
+		"SELECT t.v, u.w FROM t CROSS JOIN u WHERE t.v > 90 AND u.w < 5 ORDER BY 1, 2",
+		"SELECT COUNT(*) FROM t CROSS JOIN u WHERE t.k = u.k AND t.v > 50",
+		"SELECT t.v, u.w FROM t JOIN u ON t.v > u.w AND u.w > 50 AND t.v < 60",
+		"SELECT COUNT(*) FROM t LEFT JOIN u ON t.v < u.w AND u.w > 50 WHERE t.v > 20",
 	)
 }
 
@@ -260,10 +275,26 @@ func TestPlanSelectLegality(t *testing.T) {
 	if jp.keep == nil || len(jp.keep) != 2 { // u.w and t.v
 		t.Errorf("left join keep = %v, want the two residual columns", jp.keep)
 	}
+	// A comma join folds into a CROSS join keyed on the WHERE equality that
+	// links its inputs; single-side conjuncts move below it as below INNER.
+	stmt, sp = plan("SELECT COUNT(*) FROM t, u WHERE t.v > 1 AND t.k = u.k AND u.w < 9")
+	if sp == nil {
+		t.Fatal("comma join: no plan")
+	}
+	cross := sp.from.(*sqlparser.JoinExpr)
+	jp = sp.join(cross)
+	if cross.Kind != sqlparser.JoinCross || cross.Left != stmt.From[0] || cross.Right != stmt.From[1] {
+		t.Errorf("comma join folded into %+v", cross)
+	}
+	if show(jp.link) != "(t.k = u.k)" || show(jp.pushLeft) != "(t.v > 1)" || show(jp.pushRight) != "(u.w < 9)" || sp.where != nil {
+		t.Errorf("comma join: link=%q pushLeft=%q pushRight=%q where=%q",
+			show(jp.link), show(jp.pushLeft), show(jp.pushRight), show(sp.where))
+	}
 	// Shapes the planner leaves alone.
 	for _, sql := range []string{
 		"SELECT COUNT(*) FROM t WHERE v > 1",
-		"SELECT COUNT(*) FROM t, u WHERE t.k = u.k",
+		"SELECT COUNT(*) FROM t, u WHERE t.k = u.k AND t.v + 1 > 1",
+		"SELECT COUNT(*) FROM t, (SELECT k FROM u) d WHERE t.k = d.k",
 		"SELECT COUNT(*) FROM t JOIN (SELECT k FROM u) d ON t.k = d.k WHERE t.v > 1",
 		"SELECT COUNT(*) FROM t JOIN u ON t.k = u.k WHERE t.v + 1 > 1",
 		"SELECT COUNT(*) FROM t JOIN u ON t.k = u.k WHERE -t.v < 1",
@@ -273,6 +304,115 @@ func TestPlanSelectLegality(t *testing.T) {
 	} {
 		if _, sp := plan(sql); sp != nil {
 			t.Errorf("%s: planned, want the empty plan", sql)
+		}
+	}
+}
+
+// dbCatalog serves the engine's tables to relalg.Build.
+type dbCatalog struct{ db *DB }
+
+func (c dbCatalog) TableColumns(table string) ([]string, bool) {
+	tbl := c.db.Table(table)
+	if tbl == nil {
+		return nil, false
+	}
+	names := make([]string, len(tbl.Schema.Columns))
+	for i, col := range tbl.Schema.Columns {
+		names[i] = col.Name
+	}
+	return names, true
+}
+
+// TestCommaLinkMatchesRelalg: a three-item comma join whose first linking
+// conjunct, in WHERE order, joins item 0 to item 2, and whose second links
+// items 1 and 2. The plan keys each CROSS join on the columns relalg.Build
+// keys the same join on, so the shape the sensitivity analysis sees is the
+// shape that executes; the unused link stays a filter above the joins.
+func TestCommaLinkMatchesRelalg(t *testing.T) {
+	db := rewriteTestDB(rand.New(rand.NewSource(1)), 20)
+	stmt, err := sqlparser.Parse("SELECT COUNT(*) FROM t, u, x WHERE t.k = x.w AND u.w > 3 AND u.w = x.w AND t.k = u.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := (&execContext{db: db}).planFor(stmt)
+	if sp == nil {
+		t.Fatal("no plan")
+	}
+	// The plan's links, bottom join first, as "left.col=right.col" with the
+	// left input's column first.
+	var got []string
+	for j, ok := sp.from.(*sqlparser.JoinExpr); ok; j, ok = j.Left.(*sqlparser.JoinExpr) {
+		b, _ := sp.join(j).link.(*sqlparser.BinaryExpr)
+		if b == nil {
+			t.Fatalf("join over %+v has no link", j.Right)
+		}
+		l, r := b.Left.(*sqlparser.ColumnRef), b.Right.(*sqlparser.ColumnRef)
+		if l.Table == j.Right.(*sqlparser.TableName).Name {
+			l, r = r, l
+		}
+		got = append([]string{l.Table + "." + l.Name + "=" + r.Table + "." + r.Name}, got...)
+	}
+	q, err := relalg.Build(stmt, dbCatalog{db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	var walk func(relalg.Relation)
+	walk = func(r relalg.Relation) {
+		switch n := r.(type) {
+		case *relalg.JoinRel:
+			walk(n.Left)
+			want = append(want, n.LeftKey.BaseTable+"."+n.LeftKey.Column+"="+n.RightKey.BaseTable+"."+n.RightKey.Column)
+		case *relalg.SelectRel:
+			walk(n.Input)
+		case *relalg.ProjectRel:
+			walk(n.Input)
+		}
+	}
+	walk(q.Rel)
+	if !slices.Equal(got, want) || len(want) != 2 {
+		t.Errorf("plan links %q, relalg join keys %q", got, want)
+	}
+	if jp := sp.join(sp.from.(*sqlparser.JoinExpr).Left.(*sqlparser.JoinExpr)); sqlparser.PrintExpr(jp.pushRight) != "(u.w > 3)" {
+		t.Errorf("u.w > 3 not pushed to u: %+v", jp)
+	}
+	if got := sqlparser.PrintExpr(sp.where); got != "(u.w = x.w)" {
+		t.Errorf("where = %s, want the unused link", got)
+	}
+}
+
+// TestCommaJoinRunsThePlannedTree: a comma join with a linked and a pushed
+// conjunct returns the filtered count one-shot and prepared, equal to its
+// JOIN … ON spelling and to a loop over the tables. Executing a second fold
+// of the FROM would find no plan for its joins, drop both conjuncts and
+// count the whole product.
+func TestCommaJoinRunsThePlannedTree(t *testing.T) {
+	db := rewriteTestDB(rand.New(rand.NewSource(5)), 120)
+	var want int64
+	for _, tr := range db.Table("t").Rows {
+		for _, ur := range db.Table("u").Rows {
+			if Equal(tr[0], ur[0]) && tr[1].Int > 50 {
+				want++
+			}
+		}
+	}
+	const comma = "SELECT COUNT(*) FROM t, u WHERE t.k = u.k AND t.v > 50"
+	pq, err := db.Prepare(comma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		rs, err := pq.Exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rs.Rows[0][0].Int; got != want {
+			t.Fatalf("prepared run %d: %d, want %d", i, got, want)
+		}
+	}
+	for _, sql := range []string{comma, "SELECT COUNT(*) FROM t JOIN u ON t.k = u.k WHERE t.v > 50"} {
+		if got := queryScalar(t, db, sql).Int; got != want {
+			t.Errorf("%s: %d, want %d", sql, got, want)
 		}
 	}
 }
@@ -305,9 +445,11 @@ func manyToManyDB(trips int) *DB {
 	return db
 }
 
-// emptyPlan is the plan that rewrites nothing: today's behaviour before this
-// file existed, through the same executor code.
-func emptyPlan(stmt *sqlparser.SelectStmt) *selectPlan { return &selectPlan{where: stmt.Where} }
+// emptyPlan is the plan that rewrites nothing: the FROM folded but no comma
+// join linked, the whole WHERE above the joins, through the same executor.
+func emptyPlan(stmt *sqlparser.SelectStmt) *selectPlan {
+	return &selectPlan{from: foldFrom(stmt.From), where: stmt.Where}
+}
 
 // TestRewriteMechanism observes the rewrite through ExecConfig.Profile: the
 // pushed filter sees every trips row and precedes the join, the join's output

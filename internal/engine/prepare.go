@@ -48,7 +48,7 @@ func newPlanCache() *planCache {
 // statement's other compiled state: leaf schemas, and with them the plan, can
 // only change when the database version does.
 func (ctx *execContext) planFor(stmt *sqlparser.SelectStmt) *selectPlan {
-	if joinRoot(stmt) == nil {
+	if !hasJoin(stmt) {
 		return nil // before anything allocates: most statements have no join
 	}
 	schema := func(t *sqlparser.TableName) ([]relCol, bool) {

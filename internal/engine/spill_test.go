@@ -57,6 +57,25 @@ var spillQueries = []string{
 	`SELECT city_id FROM trips EXCEPT ALL SELECT id FROM cities`,
 	`SELECT city_id FROM trips INTERSECT SELECT id FROM cities`,
 	`SELECT id FROM cities EXCEPT SELECT city_id FROM trips`,
+	// Comma joins of three items (linked in and out of WHERE order, partly
+	// linked, unlinked), an integral-float = int link, CTE and derived-table
+	// items, CROSS with single-side conjuncts, key-less joins of every kind,
+	// parenthesized build sides, and a key-less join with a subquery residual.
+	`SELECT t.id, d.name, c.name FROM trips t, drivers d, cities c WHERE t.driver_id = d.id AND t.city_id = c.id`,
+	`SELECT t.id, d.name, c.name FROM trips t, drivers d, cities c WHERE t.city_id = c.id AND t.driver_id = d.id AND c.name <> 'la'`,
+	`SELECT t.id, d.name, c.name FROM trips t, drivers d, cities c WHERE d.home_city = c.id AND t.fare > 20`,
+	`SELECT t.id, d.id, c.id FROM trips t, drivers d, cities c WHERE t.fare > 20`,
+	`SELECT a.id, b.id FROM trips a, trips b WHERE a.fare = b.id`,
+	`WITH n AS (SELECT driver_id, COUNT(*) AS c FROM trips GROUP BY driver_id) SELECT d.name, n.c FROM drivers d, n WHERE d.id = n.driver_id`,
+	`SELECT d.name, x.id FROM drivers d, (SELECT id, driver_id FROM trips WHERE fare > 10) x WHERE d.id = x.driver_id`,
+	`SELECT d.name, c.name FROM drivers d CROSS JOIN cities c WHERE d.home_city > 1 AND c.id < 3`,
+	`SELECT t.id, d.name FROM trips t JOIN drivers d ON t.driver_id < d.id AND d.home_city = 1`,
+	`SELECT d.name, c.name FROM drivers d LEFT JOIN cities c ON d.home_city < c.id`,
+	`SELECT d.name, c.name FROM drivers d RIGHT JOIN cities c ON d.home_city > c.id`,
+	`SELECT d.name, c.name FROM drivers d FULL JOIN cities c ON d.home_city > c.id AND d.id > 11`,
+	`SELECT t.id, d.name, c.name FROM trips t JOIN (drivers d JOIN cities c ON d.home_city = c.id) ON t.driver_id = d.id`,
+	`SELECT t.id, d.name, c.name FROM trips t LEFT JOIN (drivers d JOIN cities c ON d.home_city = c.id) ON t.driver_id = d.id AND c.id = 2`,
+	`SELECT d.name, c.name FROM drivers d JOIN cities c ON d.home_city < c.id AND c.id > (SELECT MIN(id) FROM cities)`,
 }
 
 // runSpillDifferential checks one database: every query bit-identical

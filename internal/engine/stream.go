@@ -151,11 +151,19 @@ type pipeline struct {
 	// trace, when profiling is on, is the base scan's profile entry; the
 	// drive (run / pipelineSource.Open) stores its morsel count there.
 	trace *opTrace
+	// fanout is the product of the build cardinalities of the pipeline's
+	// key-less joins, each of which turns one probe row into that many pairs
+	// (1: none), capped at maxFanout.
+	fanout int
 }
+
+// maxFanout caps pipeline.fanout: beyond any span size, a larger divisor
+// cannot shrink a morsel below its floor of one row.
+const maxFanout = 1 << 30
 
 // scanPipeline starts a pipeline at a materialized relation.
 func (ctx *execContext) scanPipeline(rel *relation) *pipeline {
-	p := &pipeline{src: rel, rel: rel}
+	p := &pipeline{src: rel, rel: rel, fanout: 1}
 	if ctx.prof != nil {
 		p.trace = ctx.prof.op("scan", scanDetail(rel))
 		if p.trace != nil {
@@ -186,9 +194,11 @@ func (p *pipeline) abort() {
 	}
 }
 
-// spans partitions the base scan into morsels sized for its row width.
+// spans partitions the base scan into morsels sized for its row width, and
+// divided by the fanout of its key-less joins so one morsel's join output
+// stays near one span (at least one row per morsel).
 func (p *pipeline) spans(ctx *execContext) []span {
-	return morselSpans(len(p.src.rows), ctx.spanSize(len(p.src.cols)))
+	return morselSpans(len(p.src.rows), max(ctx.spanSize(len(p.src.cols))/p.fanout, 1))
 }
 
 // planWorkers returns the worker count run will use for this pipeline given
@@ -518,9 +528,9 @@ func (s *pipelineSource) Close() error {
 }
 
 // materializeStream runs the pipeline to completion and materializes its full
-// output relation — a pipeline breaker, counted as such. It is the fallback
-// for sinks and shapes the streaming dataflow does not cover; with no ops the
-// base relation is returned as-is (a scan is already materialized).
+// output relation — a pipeline breaker, counted as such. It drains a join's
+// parenthesised build side and serves the sinks that cannot stream; with no
+// ops the base relation is returned as-is (a scan is already materialized).
 func (ctx *execContext) materializeStream(p *pipeline) (*relation, error) {
 	if len(p.ops) == 0 {
 		return p.src, nil
@@ -673,9 +683,12 @@ func (f *filterOp) apply(ctx *execContext, w int, m morsel) (morsel, error) {
 // hashJoinOp streams the probe side of an in-memory hash join: the build
 // index over the (materialized) right side is constructed up front — the
 // join's pipeline breaker — and each left morsel probes it, emitting combined
-// rows. Outer-join padding is deferred to flush: unmatched left rows buffer
-// per morsel and emit in morsel order, then unmatched right rows, exactly the
-// [matches..., left pads..., right pads...] order of the materialized join.
+// rows. A join without an equality key is the same operator on the empty
+// key: every build row sits under "" in ascending order, so each probe row
+// meets the whole build side in build order — the nested loop's pair order.
+// Outer-join padding is deferred to flush: unmatched left rows buffer per
+// morsel and emit in morsel order, then unmatched right rows, so the output
+// is [matches..., left pads..., right pads...].
 type hashJoinOp struct {
 	probe      joinProbe
 	rightRows  [][]Value
@@ -692,8 +705,8 @@ func (o *hashJoinOp) bind(n int) {
 	o.padBufs = make(map[int][][]Value)
 }
 
-// pure mirrors the materialized join's parallel-probe gate: residuals may
-// embed subquery state that is not worker-safe.
+// pure gates the parallel probe: residuals may embed subquery state that is
+// not worker-safe.
 func (o *hashJoinOp) pure() bool { return o.resPure }
 func (o *hashJoinOp) abort()     {}
 
@@ -777,12 +790,11 @@ func (o *hashJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 }
 
 // graceJoinOp streams the probe side of an out-of-core Grace join. The build
-// side is partitioned to disk at construction (level 0, as the materialized
-// grace root does); apply streams probe rows straight into the probe
-// partition writers, so the probe side never materializes in memory — the
-// spill budget is the back-pressure valve. flush joins partition pairs with
-// the shared graceNode recursion and emits matches (restored to serial probe
-// order) then outer pads.
+// side is partitioned to disk at construction (level 0); apply streams probe
+// rows straight into the probe partition writers, so the probe side never
+// materializes in memory — the spill budget is the back-pressure valve.
+// flush joins partition pairs with the shared graceNode recursion and emits
+// matches (restored to serial probe order) then outer pads.
 type graceJoinOp struct {
 	kind      sqlparser.JoinKind
 	keys      []equiKey
@@ -823,7 +835,7 @@ func graceRecordCols(keyCol func(int) int, nKeys int, keep []int) (cols, recKeep
 }
 
 // newGraceJoinOp partitions the build side and opens the probe partition
-// writers, mirroring the materialized grace root's level-0 work and stats.
+// writers: the join's level-0 work and stats. It needs at least one key.
 // With keep-lists the records of both sides are narrowed to key + kept
 // columns, and the partition joins below level 0 run over those records.
 func (ctx *execContext) newGraceJoinOp(kind sqlparser.JoinKind, probe joinProbe, right *relation) (*graceJoinOp, error) {
@@ -1007,43 +1019,24 @@ func (o *graceJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 
 // ---- FROM-clause pipeline construction ----
 
-// buildFromPipeline evaluates the FROM clause into a streaming pipeline under
-// the SELECT body's plan. The common single-item forms stream; the cross-join
-// chain of a multi-item FROM materializes pairwise, left to right. An empty
-// FROM yields one empty row so that `SELECT 1` works.
-func (ctx *execContext) buildFromPipeline(items []sqlparser.TableExpr, plan *selectPlan) (*pipeline, error) {
-	if len(items) == 0 {
+// buildFromPipeline evaluates the FROM clause, folded into one join tree
+// (foldFrom), into a streaming pipeline under the SELECT body's plan. An
+// empty FROM yields one empty row so that `SELECT 1` works.
+func (ctx *execContext) buildFromPipeline(from sqlparser.TableExpr, plan *selectPlan) (*pipeline, error) {
+	if from == nil {
 		return ctx.scanPipeline(&relation{rows: [][]Value{{}}}), nil
 	}
-	p, err := ctx.buildTablePipeline(items[0], plan)
-	if err != nil {
-		return nil, err
-	}
-	for _, item := range items[1:] {
-		left, err := ctx.materializeStream(p)
-		if err != nil {
-			return nil, err
-		}
-		right, err := ctx.buildTableExpr(item)
-		if err != nil {
-			return nil, err
-		}
-		crossed, err := ctx.crossJoin(left, right)
-		if err != nil {
-			return nil, err
-		}
-		p = ctx.scanPipeline(crossed)
-	}
-	return p, nil
+	return ctx.buildTablePipeline(from, plan)
 }
 
 // buildTablePipeline turns one table expression into a pipeline: joins become
-// streaming probe operators over the left side's pipeline (the right side —
-// the build side — materializes, as the hash join requires), everything else
-// is a materialized scan (tables already are; CTEs and subqueries evaluate
-// eagerly, exactly as before). Conjuncts the plan pushed below a join run as
-// an ordinary filter on the probe pipeline and as a row-reference selection
-// of the build relation, before the join sees either input.
+// streaming probe operators over the left side's pipeline, everything else is
+// a materialized scan (tables already are; CTEs and subqueries evaluate
+// eagerly). The right side — the build side — materializes, as the hash join
+// requires: a join there runs as its own pipeline and is drained. Conjuncts
+// the plan pushed below a join run as an ordinary filter on the probe
+// pipeline and as a row-reference selection of the build relation, before
+// the join sees either input.
 func (ctx *execContext) buildTablePipeline(te sqlparser.TableExpr, plan *selectPlan) (*pipeline, error) {
 	t, ok := te.(*sqlparser.JoinExpr)
 	if !ok {
@@ -1057,8 +1050,17 @@ func (ctx *execContext) buildTablePipeline(te sqlparser.TableExpr, plan *selectP
 	if err != nil {
 		return nil, err
 	}
-	right, err := ctx.buildTableExpr(t.Right)
-	if err != nil {
+	var right *relation
+	if rt, ok := t.Right.(*sqlparser.JoinExpr); ok {
+		rp, err := ctx.buildTablePipeline(rt, plan)
+		if err != nil {
+			return nil, err
+		}
+		right, err = ctx.materializeStream(rp)
+		if err != nil {
+			return nil, err
+		}
+	} else if right, err = ctx.buildTableExpr(t.Right); err != nil {
 		return nil, err
 	}
 	jp := plan.join(t)
@@ -1111,29 +1113,13 @@ func (ctx *execContext) filterRelation(rel *relation, pred sqlparser.Expr) (*rel
 	return &relation{cols: rel.cols, rows: rows, idx: rel.idx, sig: rel.sig}, nil
 }
 
-// pushJoin appends the streaming operator for one join, or falls back to the
-// materialized join for shapes the streaming probe does not cover (cross
-// joins, conditions with no equality keys). jp.keep narrows the streaming
-// join's output to the columns still read above it; buildRows is the build
-// side's cardinality before jp.pushRight filtered it.
+// pushJoin appends the streaming operator for one join. Its hash key is the
+// ON or USING equalities, or a CROSS join's planned link; a join with none
+// is keyed on the empty key. jp.keep narrows the join's output to the
+// columns still read above it; buildRows is the build side's cardinality
+// before jp.pushRight filtered it.
 func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *relation, jp joinPlan, buildRows int) (*pipeline, error) {
 	left := p.rel
-
-	materialized := func() (*pipeline, error) {
-		rel, err := ctx.materializeStream(p)
-		if err != nil {
-			return nil, err
-		}
-		joined, err := ctx.join(t, rel, right)
-		if err != nil {
-			return nil, err
-		}
-		return ctx.scanPipeline(joined), nil
-	}
-	if t.Kind == sqlparser.JoinCross {
-		return materialized()
-	}
-
 	var keys []equiKey
 	var residual []sqlparser.Expr
 	switch {
@@ -1151,12 +1137,12 @@ func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *rela
 		}
 	case t.On != nil:
 		keys, residual = splitJoinCondition(t.On, left, right)
+	case t.Kind == sqlparser.JoinCross:
+		if jp.link != nil {
+			keys, _ = splitJoinCondition(jp.link, left, right)
+		}
 	default:
 		return nil, fmt.Errorf("engine: join without condition")
-	}
-	if len(keys) == 0 {
-		// Nested-loop fallback: quadratic and possibly subquery-bearing.
-		return materialized()
 	}
 	// ON conjuncts the plan moved below the join no longer need re-checking.
 	residual = slices.DeleteFunc(residual, func(e sqlparser.Expr) bool { return slices.Contains(jp.onPushed, e) })
@@ -1194,7 +1180,9 @@ func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *rela
 			len(cols), len(left.cols)+len(right.cols))
 	}
 
-	if ctx.spill.Enabled() && ctx.spill.ShouldSpill(estRowsBytes(right.rows)) {
+	// One empty key cannot be partitioned: a key-less join builds in memory
+	// whatever the budget.
+	if len(keys) > 0 && ctx.spill.Enabled() && ctx.spill.ShouldSpill(estRowsBytes(right.rows)) {
 		op, err := ctx.newGraceJoinOp(t.Kind, probe, right)
 		if err != nil {
 			return nil, err
@@ -1209,6 +1197,9 @@ func (ctx *execContext) pushJoin(p *pipeline, t *sqlparser.JoinExpr, right *rela
 	}
 	probe.index = index
 	ctx.pstats.breaker(estRowsBytes(right.rows))
+	if len(keys) == 0 {
+		p.fanout = min(p.fanout*max(len(right.rows), 1), maxFanout)
+	}
 	op := &hashJoinOp{probe: probe, rightRows: right.rows, resPure: exprsPure(residual),
 		padL: t.Kind == sqlparser.JoinLeft || t.Kind == sqlparser.JoinFull,
 		padR: t.Kind == sqlparser.JoinRight || t.Kind == sqlparser.JoinFull}

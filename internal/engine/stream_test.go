@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -254,5 +255,104 @@ func TestBreakerMaterializationsCounted(t *testing.T) {
 		if !c.breaker && n != 0 {
 			t.Errorf("%s: reported %d breaker materializations, want 0", c.sql, n)
 		}
+	}
+}
+
+// joinShapesDB builds trips × drivers for the join-shape tests and benches:
+// every trip's driver_id names exactly one driver, whose city cycles mod 7.
+func joinShapesDB(trips, drivers int) *DB {
+	db := NewDB()
+	db.MustCreateTable("trips", []Column{
+		{Name: "id", Type: KindInt},
+		{Name: "driver_id", Type: KindInt},
+		{Name: "fare", Type: KindFloat},
+	})
+	db.MustCreateTable("drivers", []Column{
+		{Name: "id", Type: KindInt},
+		{Name: "city", Type: KindInt},
+		{Name: "name", Type: KindString},
+	})
+	tr := make([][]Value, trips)
+	for i := range tr {
+		tr[i] = []Value{NewInt(int64(i)), NewInt(int64(i % drivers)), NewFloat(float64(i%50) + 0.5)}
+	}
+	dr := make([][]Value, drivers)
+	for i := range dr {
+		dr[i] = []Value{NewInt(int64(i)), NewInt(int64(i % 7)), NewString(fmt.Sprintf("d%d", i))}
+	}
+	if err := db.InsertRows("trips", tr); err != nil {
+		panic(err)
+	}
+	if err := db.InsertRows("drivers", dr); err != nil {
+		panic(err)
+	}
+	return db
+}
+
+// TestJoinShapesStayBounded: under a 1 MiB budget, a comma join runs as the
+// hash join its WHERE equality links, a theta join streams its pairs through
+// the empty-key probe instead of materializing them, and a CROSS JOIN's
+// 4.5 M pairs stream in probe morsels shrunk to about one span of output.
+// Not parallel: it reads the process-wide allocation counter.
+func TestJoinShapesStayBounded(t *testing.T) {
+	const trips, drivers = 3000, 1500
+	const maxAlloc = 16 << 20
+	run := func(db *DB, sql string) (int64, uint64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := queryScalar(t, db, sql).Int
+		runtime.ReadMemStats(&after)
+		return got, after.TotalAlloc - before.TotalAlloc
+	}
+	db := joinShapesDB(trips, drivers)
+	db.SetTempDir(t.TempDir())
+	db.SetMemoryBudget(1 << 20)
+
+	want, _ := run(db, `SELECT COUNT(*) FROM trips JOIN drivers ON trips.driver_id = drivers.id WHERE drivers.city = 3`)
+	if want == 0 {
+		t.Fatal("the JOIN spelling matched nothing")
+	}
+	got, alloc := run(db, `SELECT COUNT(*) FROM trips, drivers WHERE trips.driver_id = drivers.id AND drivers.city = 3`)
+	if got != want || alloc >= maxAlloc {
+		t.Errorf("comma join: %d rows (JOIN spelling %d), %d MiB allocated", got, want, alloc>>20)
+	}
+	t.Logf("comma join: %d KiB allocated", alloc>>10)
+	got, alloc = run(db, `SELECT COUNT(*) FROM trips t JOIN drivers d ON t.driver_id <= d.id AND t.driver_id >= d.id`)
+	if got != trips || alloc >= maxAlloc {
+		t.Errorf("theta join: %d rows (want %d), %d MiB allocated", got, trips, alloc>>20)
+	}
+	t.Logf("theta join: %d KiB allocated", alloc>>10)
+
+	// A fresh database: PeakMorselBytes folds into the totals by maximum.
+	db = joinShapesDB(trips, drivers)
+	db.SetMemoryBudget(1 << 20)
+	if got, _ := run(db, `SELECT COUNT(*) FROM trips CROSS JOIN drivers`); got != trips*drivers {
+		t.Errorf("cross join: %d rows, want %d", got, trips*drivers)
+	}
+	peak := db.SpillStats().PeakMorselBytes
+	if peak > 1<<20 {
+		t.Errorf("cross join: peak in-flight %d bytes, want ≤ 1 MiB", peak)
+	}
+	t.Logf("cross join: peak in-flight %d KiB", peak>>10)
+}
+
+// TestKeylessJoinNeverSpills: a join without an equality key probes one empty
+// key, which no hash can partition, so it builds in memory under a budget its
+// build side exceeds, where the keyed spelling of the same join goes to disk.
+func TestKeylessJoinNeverSpills(t *testing.T) {
+	db := joinShapesDB(300, 150)
+	db.SetTempDir(t.TempDir())
+	db.SetMemoryBudget(1 << 10)
+	theta := queryScalar(t, db, `SELECT COUNT(*) FROM trips t JOIN drivers d ON t.driver_id <= d.id AND t.driver_id >= d.id`)
+	if n := db.SpillStats().JoinSpills; n != 0 {
+		t.Errorf("key-less join spilled %d times", n)
+	}
+	keyed := queryScalar(t, db, `SELECT COUNT(*) FROM trips t JOIN drivers d ON t.driver_id = d.id`)
+	if n := db.SpillStats().JoinSpills; n == 0 {
+		t.Error("keyed join did not spill: the budget does not bind")
+	}
+	if theta.Int != keyed.Int || keyed.Int != 300 {
+		t.Errorf("theta join %d, keyed join %d, want 300", theta.Int, keyed.Int)
 	}
 }
