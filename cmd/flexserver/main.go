@@ -35,6 +35,8 @@ package main
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"log/slog"
@@ -64,6 +66,20 @@ func (t *tableFlags) Set(v string) error {
 
 // fatal logs the error and exits without skipping deferred cleanup in main —
 // callers run any cleanup themselves before calling it.
+// resolveSeed passes an explicit -seed through and replaces 0 with a seed
+// drawn from crypto/rand. The library treats 0 as an ordinary seed, so
+// handing it on would replay the same noise sequence in every process life;
+// budgets live in memory, so after a restart an analyst could repeat a query
+// and difference the two answers exactly.
+func resolveSeed(seed int64) int64 {
+	if seed != 0 {
+		return seed
+	}
+	var b [8]byte
+	_, _ = rand.Read(b[:]) // documented never to fail since Go 1.24: it crashes instead
+	return int64(binary.LittleEndian.Uint64(b[:]))
+}
+
 func fatal(logger *slog.Logger, msg string, args ...any) {
 	logger.Error(msg, args...)
 	os.Exit(1)
@@ -92,7 +108,7 @@ func main() {
 	analystEps := flag.Float64("analyst-budget", 0, "per-analyst privacy budget ε (0 = all analysts share the pool)")
 	analystDelta := flag.Float64("analyst-delta", 0, "per-analyst privacy budget δ (default: -max-delta)")
 	demo := flag.Bool("demo", false, "serve the synthetic rideshare dataset")
-	seed := flag.Int64("seed", 0, "noise seed (0 = nondeterministic per restart)")
+	seed := flag.Int64("seed", 0, "noise seed (0 = drawn from crypto/rand at startup, never logged)")
 	parallelism := flag.Int("parallelism", 0, "engine worker goroutines per query (0 = one per CPU, 1 = serial)")
 	memoryBudget := flag.String("memory-budget", "0", `per-query engine memory budget (e.g. "256MiB"; joins/sorts over it spill to disk, 0 = unbounded)`)
 	tempDir := flag.String("temp-dir", "", "parent directory for spill files (default: OS temp dir)")
@@ -175,7 +191,10 @@ func main() {
 	// the flags only trade per-query latency against cross-query throughput
 	// and memory headroom under load.
 	budget := smooth.NewBudget(*maxEps, *maxDelta)
-	sys := flex.NewSystem(db, flex.Options{Seed: *seed, Parallelism: *parallelism,
+	if *seed == 0 {
+		logger.Info("drew a random noise seed")
+	}
+	sys := flex.NewSystem(db, flex.Options{Seed: resolveSeed(*seed), Parallelism: *parallelism,
 		MemoryBudget: budgetBytes, TempDir: spillDir})
 	if *public != "" {
 		sys.MarkPublic(strings.Split(*public, ",")...)

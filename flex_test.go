@@ -463,3 +463,35 @@ func TestStaleMetricsPolicies(t *testing.T) {
 		t.Errorf("StaleIgnore run failed: %v", err)
 	}
 }
+
+// TestPerturbUsesEachOutputsBound replays a two-output release: with a fixed
+// seed, output i's noise must be the i-th Laplace draw of the call's forked
+// sampler at output i's own smooth bound. COUNT(*) and SUM(fare) have
+// different bounds, so noising every output at the first bound fails here.
+func TestPerturbUsesEachOutputsBound(t *testing.T) {
+	const sql, eps, delta = "SELECT COUNT(*), SUM(fare) FROM trips", 0.5, 1e-6
+	sys := newSystem(t, rideshareDB(t))
+	res, err := sys.Run(sql, eps, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := smooth.PrivacyParams{Epsilon: eps, Delta: delta}
+	bounds := make([]smooth.Smoothed, 2)
+	for i := range bounds {
+		if bounds[i], err = sys.SmoothBound(res.Analysis, i, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bounds[0].NoiseScale(eps) == bounds[1].NoiseScale(eps) {
+		t.Fatalf("both outputs have noise scale %g; the test cannot tell them apart", bounds[0].NoiseScale(eps))
+	}
+	// The first Run is call 1 of the system's mechanism (Options.Seed 42).
+	replay := smooth.NewMechanism(42).Fork(1)
+	for i, b := range bounds {
+		want := replay.Release(res.TrueRows[0][i], b, eps)
+		if got := res.Rows[0].Values[i]; got != want {
+			t.Errorf("output %d = %v, want %v (true %v + Laplace at scale %g)",
+				i, got, want, res.TrueRows[0][i], b.NoiseScale(eps))
+		}
+	}
+}

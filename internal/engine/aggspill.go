@@ -2,21 +2,17 @@ package engine
 
 import (
 	"encoding/binary"
-	"fmt"
-	"io"
 	"sort"
+	"sync"
 
 	"flexdp/internal/spill"
 	"flexdp/internal/sqlparser"
 )
 
 // Partitioned (spilled) grouped aggregation, plus the budget-bounded
-// variants of DISTINCT dedup and set-operation key sets. All three share
-// the Grace join's partitioning pattern (gracejoin.go): hash the state key
-// with a level-salted FNV, write records to fanout spill runs, process
-// partition by partition, and recursively re-partition skewed partitions —
-// a partition that stops shrinking (one key) is processed in memory over
-// budget and counted in the stats.
+// variants of DISTINCT dedup and set-operation key sets. Each is a record
+// codec and a leaf over the recursive partitioner (partition.go), keyed on
+// the group key or the whole row's key.
 //
 // Determinism: partition files preserve input order, and every group (or
 // dedupe/set-op key) lives entirely inside one partition at every level.
@@ -56,7 +52,10 @@ type aggSpillState struct {
 	cache    *exprCache
 	outCols  []string
 	needSort bool
-	out      []aggOutGroup
+	// mu guards out and the evalErr pair: level-0 partitions drain in
+	// parallel, each leaf merging its groups once it finishes.
+	mu  sync.Mutex
+	out []aggOutGroup
 	// evalErr tracks the evaluation error of the smallest first-appearance
 	// group position seen so far: the serial path evaluates groups in
 	// first-appearance order and stops at the first failure, so the
@@ -68,18 +67,78 @@ type aggSpillState struct {
 // noteEvalErr records a group-evaluation failure if its group precedes the
 // current candidate in serial evaluation order.
 func (st *aggSpillState) noteEvalErr(firstIdx int, err error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.evalErr == nil || firstIdx < st.evalErrIdx {
 		st.evalErr, st.evalErrIdx = err, firstIdx
 	}
 }
 
-// drainAggSpill aggregates the level-0 partition runs and assembles the
-// final result; totalRows is the number of input rows partitioned (the
-// parentLen bound for skew detection), written by the streaming sink's
-// spill path (executeAggSpillStream in aggstream.go).
-func (ctx *execContext) drainAggSpill(stmt *sqlparser.SelectStmt, rel *relation,
-	runs []*spill.Run, totalRows int) (*ResultSet, [][]Value, error) {
-	fanout := len(runs)
+// executeAggSpillStream is the spilled grouped aggregation. It streams
+// morsels into the level-0 partition runs — workers evaluate the GROUP BY
+// keys per selected row (only the keys: argument evaluation waits for the
+// leaf), and the ordered consumer routes each row's record tagged with its
+// running input position — then drains them through the partitioner into
+// aggSpillLeaf and restores the serial group order.
+func (ctx *execContext) executeAggSpillStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
+	rel := p.rel
+	keyFns := make([]evalFn, len(stmt.GroupBy))
+	for i, e := range stmt.GroupBy {
+		fn, err := compileExpr(rel, ctx, e)
+		if err != nil {
+			return nil, nil, err
+		}
+		keyFns[i] = fn
+	}
+	fanout := graceFanout(estRowsBytes(p.src.rows), ctx.spill.Budget())
+	ctx.spill.NoteAggSpill(fanout)
+	ctx.pstats.breaker(0) // partitioned grouping state lives on disk
+	w, err := newPartWriter[aggRec](ctx, aggCodec{}, 0, fanout)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	type keyedMorsel struct {
+		rows    [][]Value
+		keyVals [][]Value
+	}
+	produce := func(_ int, m morsel) (any, error) {
+		rows := m.dense()
+		keyVals := make([][]Value, len(rows))
+		for i, row := range rows {
+			kv := make([]Value, len(keyFns))
+			for k, fn := range keyFns {
+				v, err := fn(row)
+				if err != nil {
+					return nil, err
+				}
+				kv[k] = v
+			}
+			keyVals[i] = kv
+		}
+		return keyedMorsel{rows: rows, keyVals: keyVals}, nil
+	}
+	consume := func(payload any) error {
+		km := payload.(keyedMorsel)
+		//flexlint:ignore ctxpoll one keyedMorsel holds one morsel's rows; the pipeline driver polls between consume calls
+		for i, row := range km.rows {
+			// w.n counts the rows routed so far: this row's input position.
+			if err := w.write(aggRec{idx: w.n, keyVals: km.keyVals[i], row: row}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	produce, atrace := ctx.prof.sink("aggregate_spill", produce)
+	if err := p.run(ctx, true, produce, consume); err != nil {
+		w.abort()
+		return nil, nil, err
+	}
+	runs, err := w.finish()
+	if err != nil {
+		return nil, nil, err
+	}
+
 	var names []string
 	for i, item := range stmt.Columns {
 		names = append(names, outputName(item, i))
@@ -87,44 +146,21 @@ func (ctx *execContext) drainAggSpill(stmt *sqlparser.SelectStmt, rel *relation,
 	st := &aggSpillState{stmt: stmt, rel: rel, cache: newExprCache(),
 		outCols: names, needSort: len(stmt.OrderBy) > 0}
 	// Level-0 partitions are disjoint by construction (every group lives in
-	// exactly one), so they drain in parallel: each partition aggregates into
-	// a private state and the states merge in partition order. The merge
-	// order is irrelevant to results — the final firstIdx sort restores the
-	// global group order, and evalErr keeps the minimum first-appearance
-	// group across partitions either way. IO errors surface with runSpans'
-	// lowest-partition rule, which is the partition the serial loop would
-	// have failed on first; as in the serial loop, an IO error wins over
-	// evaluation errors noted in other partitions because those are only
-	// consulted after every partition drains cleanly. The spill manager and
-	// exprCache are mutex-guarded, so workers share them safely.
-	states := make([]*aggSpillState, fanout)
-	if err := ctx.runSpans(morselSpans(fanout, 1), ctx.workers, func(_, p int, _ span) error {
-		if runs[p].Records == 0 {
-			runs[p].Release()
-			return nil
-		}
-		recs, err := readAggRecs(runs[p])
-		if err != nil {
-			return err
-		}
-		ps := &aggSpillState{stmt: stmt, rel: rel, cache: st.cache,
-			outCols: names, needSort: st.needSort}
-		if err := ctx.aggSpillNode(1, recs, totalRows, ps); err != nil {
-			return err
-		}
-		states[p] = ps
-		return nil
-	}); err != nil {
+	// exactly one), so they drain in parallel, every leaf merging into st.
+	// The merge order is irrelevant to results — the final firstIdx sort
+	// restores the global group order, and evalErr keeps the minimum
+	// first-appearance group across partitions either way. IO errors surface
+	// with runSpans' lowest-partition rule, which is the partition a serial
+	// drain would have failed on first; an IO error wins over evaluation
+	// errors noted in other partitions because those are only consulted
+	// after every partition drains cleanly. The spill manager and exprCache
+	// are mutex-guarded, so workers share them safely.
+	pt := &partition[aggRec]{codecs: []partCodec[aggRec]{aggCodec{}},
+		size: estAggRecsBytes, sized: 1, need: 1, parallel: true,
+		noteRecursion: ctx.spill.NoteAggRecursion, noteOverBudget: ctx.spill.NoteOverBudgetAgg,
+		leaf: func(s [][]aggRec) error { return ctx.aggSpillLeaf(s[0], st) }}
+	if err := pt.drain(ctx, 1, [][]*spill.Run{runs}, w.n); err != nil {
 		return nil, nil, err
-	}
-	for _, ps := range states {
-		if ps == nil {
-			continue
-		}
-		st.out = append(st.out, ps.out...)
-		if ps.evalErr != nil {
-			st.noteEvalErr(ps.evalErrIdx, ps.evalErr)
-		}
 	}
 	if st.evalErr != nil {
 		return nil, nil, st.evalErr
@@ -143,60 +179,8 @@ func (ctx *execContext) drainAggSpill(stmt *sqlparser.SelectStmt, rel *relation,
 			sortKeys = append(sortKeys, st.out[i].key)
 		}
 	}
+	atrace.setRowsOut(len(out.Rows))
 	return out, sortKeys, nil
-}
-
-// aggSpillNode aggregates one partition: either in memory (fits budget, max
-// depth, or irreducible skew) or by re-partitioning another level.
-func (ctx *execContext) aggSpillNode(level int, recs []aggRec, parentLen int, st *aggSpillState) error {
-	if err := ctx.err(); err != nil {
-		return err
-	}
-	est := estAggRecsBytes(recs)
-	over := ctx.spill.ShouldSpill(est)
-	if !over || level >= graceMaxDepth || len(recs) >= parentLen {
-		if over {
-			ctx.spill.NoteOverBudgetAgg()
-		}
-		return ctx.aggSpillLeaf(recs, st)
-	}
-
-	fanout := graceFanout(est, ctx.spill.Budget())
-	ctx.spill.NoteAggRecursion(fanout)
-	writers, abort, err := ctx.newPartitionWriters(fanout)
-	if err != nil {
-		return err
-	}
-	var keyScratch, recScratch []byte
-	for _, r := range recs {
-		keyScratch = AppendRowKey(keyScratch[:0], r.keyVals)
-		p := int(graceHash(keyScratch, level) % uint64(fanout))
-		recScratch = binary.AppendUvarint(recScratch[:0], uint64(r.idx))
-		recScratch = AppendRow(recScratch, r.keyVals)
-		recScratch = AppendRow(recScratch, r.row)
-		if err := writers[p].Write(recScratch); err != nil {
-			abort()
-			return err
-		}
-	}
-	runs, err := finishPartitionWriters(writers, abort)
-	if err != nil {
-		return err
-	}
-	for p := 0; p < fanout; p++ {
-		if runs[p].Records == 0 {
-			runs[p].Release()
-			continue
-		}
-		part, err := readAggRecs(runs[p])
-		if err != nil {
-			return err
-		}
-		if err := ctx.aggSpillNode(level+1, part, len(recs), st); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // aggSpillLeaf groups one partition's records and evaluates HAVING, the
@@ -225,6 +209,7 @@ func (ctx *execContext) aggSpillLeaf(recs []aggRec, st *aggSpillState) error {
 		g.rows = append(g.rows, r.row)
 	}
 	stmt := st.stmt
+	var out []aggOutGroup
 	for _, g := range order {
 		genv := &groupEnv{ctx: ctx, rel: st.rel, rows: g.rows, groupBy: stmt.GroupBy,
 			keyVals: g.keyVals, cache: st.cache}
@@ -259,80 +244,36 @@ func (ctx *execContext) aggSpillLeaf(recs []aggRec, st *aggSpillState) error {
 			}
 			outG.key = key
 		}
-		st.out = append(st.out, outG)
+		out = append(out, outG)
 	}
+	st.mu.Lock()
+	st.out = append(st.out, out...)
+	st.mu.Unlock()
 	return nil
 }
 
-// newPartitionWriters opens fanout spill runs, returning the writers plus
-// an abort closure that discards all of them on error.
-func (ctx *execContext) newPartitionWriters(fanout int) ([]*spill.RunWriter, func(), error) {
-	writers := make([]*spill.RunWriter, fanout)
-	abort := func() {
-		for _, w := range writers {
-			if w != nil {
-				w.Abort()
-			}
-		}
-	}
-	for i := range writers {
-		w, err := ctx.spill.NewRun()
-		if err != nil {
-			abort()
-			return nil, nil, err
-		}
-		writers[i] = w
-	}
-	return writers, abort, nil
+// aggCodec is the spilled aggregation's record codec: the row's input
+// position, its GROUP BY key values, then the row. The partition key is the
+// key values' row key.
+type aggCodec struct{}
+
+func (aggCodec) key(dst []byte, r aggRec) ([]byte, bool) { return AppendRowKey(dst, r.keyVals), true }
+
+func (aggCodec) encode(dst []byte, r aggRec) []byte {
+	return AppendRow(AppendRow(binary.AppendUvarint(dst, uint64(r.idx)), r.keyVals), r.row)
 }
 
-// finishPartitionWriters finalizes every writer into a consumable run.
-func finishPartitionWriters(writers []*spill.RunWriter, abort func()) ([]*spill.Run, error) {
-	runs := make([]*spill.Run, len(writers))
-	for i, w := range writers {
-		run, err := w.Finish()
-		if err != nil {
-			writers[i] = nil
-			abort()
-			return nil, err
-		}
-		writers[i] = nil
-		runs[i] = run
-	}
-	return runs, nil
-}
-
-// readAggRecs loads one aggregation partition back into memory.
-func readAggRecs(run *spill.Run) ([]aggRec, error) {
-	r, err := run.Open()
+func (aggCodec) decode(rec []byte) (aggRec, error) {
+	idx, rest, err := decodeIdx(rec)
 	if err != nil {
-		return nil, err
+		return aggRec{}, err
 	}
-	defer r.Close()
-	out := make([]aggRec, 0, run.Records)
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		idx, n := binary.Uvarint(rec)
-		if n <= 0 {
-			return nil, fmt.Errorf("engine: corrupt spill record index")
-		}
-		keyVals, kn, err := DecodeRow(rec[n:])
-		if err != nil {
-			return nil, err
-		}
-		row, _, err := DecodeRow(rec[n+kn:])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, aggRec{idx: int(idx), keyVals: keyVals, row: row})
+	keyVals, n, err := DecodeRow(rest)
+	if err != nil {
+		return aggRec{}, err
 	}
-	return out, nil
+	row, _, err := DecodeRow(rest[n:])
+	return aggRec{idx: idx, keyVals: keyVals, row: row}, err
 }
 
 // estAggRecsBytes estimates the in-memory aggregation state of a partition:
@@ -349,106 +290,55 @@ func estAggRecsBytes(recs []aggRec) int64 {
 //
 // dedupeRows and applySetOp hold hash sets keyed by whole output rows; a
 // high-cardinality input makes that state arbitrarily large. The spilled
-// variants partition (position, row-key) records by key hash, process each
+// variants partition (position, row-key) records by key, process each
 // partition with a partition-local map, and restore the output order by
 // sorting surviving positions — every occurrence of a key lands in one
 // partition in input order, so keep-first dedup and the multiset ALL
 // arithmetic are computed exactly as the in-memory loops compute them.
+// Their leaves note no over-budget state: irreducible skew means a
+// duplicate-heavy partition, which the key map compresses anyway, and the
+// estimate errs conservatively.
 
 // keyRec is one spilled dedupe/set-op record: an input position tagged
-// with its encoded row key. Records whose position is never consulted —
-// the right side of a set operation contributes only multiplicities —
-// are written without it (withIdx=false; idx reads back as 0).
+// with its encoded row key.
 type keyRec struct {
 	idx int
 	key []byte
 }
 
-// spillRowKeys streams (position, row-key) records for rows into fanout
-// level-salted partition runs.
-func (ctx *execContext) spillRowKeys(rows [][]Value, level, fanout int, withIdx bool) ([]*spill.Run, error) {
-	writers, abort, err := ctx.newPartitionWriters(fanout)
-	if err != nil {
-		return nil, err
+// keyCodec is the dedupe/set-op record codec: the position (when withIdx),
+// then the row key, which is also the partition key. The right side of a
+// set operation contributes only multiplicities, so its records carry no
+// position (idx reads back as 0).
+type keyCodec struct{ withIdx bool }
+
+func (keyCodec) key(dst []byte, r keyRec) ([]byte, bool) { return append(dst, r.key...), true }
+
+func (c keyCodec) encode(dst []byte, r keyRec) []byte {
+	if c.withIdx {
+		dst = binary.AppendUvarint(dst, uint64(r.idx))
 	}
-	var keyScratch, recScratch []byte
-	for idx, row := range rows {
-		if idx%ctx.morsel == 0 {
-			if err := ctx.err(); err != nil {
-				abort()
-				return nil, err
-			}
-		}
-		keyScratch = AppendRowKey(keyScratch[:0], row)
-		p := int(graceHash(keyScratch, level) % uint64(fanout))
-		recScratch = recScratch[:0]
-		if withIdx {
-			recScratch = binary.AppendUvarint(recScratch, uint64(idx))
-		}
-		recScratch = append(recScratch, keyScratch...)
-		if err := writers[p].Write(recScratch); err != nil {
-			abort()
-			return nil, err
-		}
-	}
-	return finishPartitionWriters(writers, abort)
+	return append(dst, r.key...)
 }
 
-// spillKeyRecs re-partitions already-materialized records one level deeper.
-func (ctx *execContext) spillKeyRecs(recs []keyRec, level, fanout int, withIdx bool) ([]*spill.Run, error) {
-	writers, abort, err := ctx.newPartitionWriters(fanout)
-	if err != nil {
-		return nil, err
-	}
-	var recScratch []byte
-	for i, r := range recs {
-		if i%ctx.morsel == 0 {
-			if err := ctx.err(); err != nil {
-				abort()
-				return nil, err
-			}
-		}
-		p := int(graceHash(r.key, level) % uint64(fanout))
-		recScratch = recScratch[:0]
-		if withIdx {
-			recScratch = binary.AppendUvarint(recScratch, uint64(r.idx))
-		}
-		recScratch = append(recScratch, r.key...)
-		if err := writers[p].Write(recScratch); err != nil {
-			abort()
-			return nil, err
+func (c keyCodec) decode(rec []byte) (keyRec, error) {
+	idx := 0
+	if c.withIdx {
+		var err error
+		if idx, rec, err = decodeIdx(rec); err != nil {
+			return keyRec{}, err
 		}
 	}
-	return finishPartitionWriters(writers, abort)
+	return keyRec{idx: idx, key: append([]byte(nil), rec...)}, nil
 }
 
-// readKeyRecs loads one dedupe/set-op partition back into memory.
-func readKeyRecs(run *spill.Run, withIdx bool) ([]keyRec, error) {
-	r, err := run.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	out := make([]keyRec, 0, run.Records)
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		idx := 0
-		if withIdx {
-			v, n := binary.Uvarint(rec)
-			if n <= 0 {
-				return nil, fmt.Errorf("engine: corrupt spill record index")
-			}
-			idx, rec = int(v), rec[n:]
-		}
-		out = append(out, keyRec{idx: idx, key: append([]byte(nil), rec...)})
-	}
-	return out, nil
+// spill partitions rows at level 0 as (position, row-key) records.
+func (c keyCodec) spill(ctx *execContext, rows [][]Value, fanout int) ([]*spill.Run, error) {
+	var key []byte
+	return spillSide[keyRec](ctx, c, 0, fanout, len(rows), func(i int) keyRec {
+		key = AppendRowKey(key[:0], rows[i])
+		return keyRec{idx: i, key: key}
+	})
 }
 
 // estKeyRecsBytes estimates the key-set state of a partition: map keys plus
@@ -462,29 +352,33 @@ func estKeyRecsBytes(recs []keyRec) int64 {
 }
 
 // dedupeRowsSpilled is the out-of-core keep-first dedup: partition rows by
-// row-key hash, dedupe each partition with a partition-local seen set, and
-// sort surviving positions to restore input order.
+// row key, dedupe each partition with a partition-local seen set, and sort
+// surviving positions to restore input order.
 func (ctx *execContext) dedupeRowsSpilled(out *ResultSet, sortKeys [][]Value) (*ResultSet, [][]Value, error) {
+	var survivors []int
+	codec := keyCodec{withIdx: true}
+	pt := &partition[keyRec]{codecs: []partCodec[keyRec]{codec},
+		size: estKeyRecsBytes, sized: 1, need: 1, noteRecursion: ctx.spill.NoteDedupeRecursion,
+		// Records arrive in ascending position, so the partition-local first
+		// occurrence of a key is its global first occurrence.
+		leaf: func(s [][]keyRec) error {
+			seen := make(map[string]bool, len(s[0]))
+			for _, r := range s[0] {
+				if !seen[string(r.key)] {
+					seen[string(r.key)] = true
+					survivors = append(survivors, r.idx)
+				}
+			}
+			return nil
+		}}
 	fanout := graceFanout(estRowsBytes(out.Rows), ctx.spill.Budget())
 	ctx.spill.NoteDistinctSpill(fanout)
-	runs, err := ctx.spillRowKeys(out.Rows, 0, fanout, true)
+	runs, err := codec.spill(ctx, out.Rows, fanout)
 	if err != nil {
 		return nil, nil, err
 	}
-	var survivors []int
-	for p := range runs {
-		if runs[p].Records == 0 {
-			runs[p].Release()
-			continue
-		}
-		recs, err := readKeyRecs(runs[p], true)
-		if err != nil {
-			return nil, nil, err
-		}
-		survivors, err = ctx.dedupeNode(1, recs, len(out.Rows), survivors)
-		if err != nil {
-			return nil, nil, err
-		}
+	if err := pt.drain(ctx, 1, [][]*spill.Run{runs}, len(out.Rows)); err != nil {
+		return nil, nil, err
 	}
 	sort.Ints(survivors)
 	rows := make([][]Value, 0, len(survivors))
@@ -505,89 +399,47 @@ func (ctx *execContext) dedupeRowsSpilled(out *ResultSet, sortKeys [][]Value) (*
 	return out, keys, nil
 }
 
-// dedupeNode dedupes one partition, re-partitioning skewed ones. Records
-// arrive in ascending position, so the partition-local first occurrence of
-// a key is its global first occurrence.
-func (ctx *execContext) dedupeNode(level int, recs []keyRec, parentLen int, survivors []int) ([]int, error) {
-	if err := ctx.err(); err != nil {
-		return nil, err
-	}
-	est := estKeyRecsBytes(recs)
-	if !ctx.spill.ShouldSpill(est) || level >= graceMaxDepth || len(recs) >= parentLen {
-		// Irreducible skew here means duplicate-heavy input, which the seen
-		// set compresses anyway; the estimate errs conservatively, so no
-		// over-budget counter (unlike joins, there is no hard state blowup).
-		seen := make(map[string]bool, len(recs))
-		for _, r := range recs {
-			if seen[string(r.key)] {
-				continue
-			}
-			seen[string(r.key)] = true
-			survivors = append(survivors, r.idx)
-		}
-		return survivors, nil
-	}
-	fanout := graceFanout(est, ctx.spill.Budget())
-	ctx.spill.NoteDedupeRecursion(fanout)
-	runs, err := ctx.spillKeyRecs(recs, level, fanout, true)
-	if err != nil {
-		return nil, err
-	}
-	for p := range runs {
-		if runs[p].Records == 0 {
-			runs[p].Release()
-			continue
-		}
-		part, err := readKeyRecs(runs[p], true)
-		if err != nil {
-			return nil, err
-		}
-		survivors, err = ctx.dedupeNode(level+1, part, len(recs), survivors)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return survivors, nil
-}
-
 // setOpSpilled evaluates INTERSECT/EXCEPT (with or without ALL) out of
-// core: both sides partition by row-key hash at the same level-0 salt, so
-// each key's left occurrences meet exactly its right multiplicities in one
-// partition; surviving left positions sort to restore input order.
+// core: both sides partition by row key under the same salts, so each key's
+// left occurrences meet exactly its right multiplicities in one partition;
+// surviving left positions sort to restore input order. setOpKeep encodes
+// the per-key decision shared with the in-memory loop in exec.go.
 func (ctx *execContext) setOpSpilled(left, right *ResultSet, kind sqlparser.SetOpKind, all bool) (*ResultSet, error) {
+	var survivors []int
+	lc, rc := keyCodec{withIdx: true}, keyCodec{}
+	pt := &partition[keyRec]{codecs: []partCodec[keyRec]{lc, rc},
+		size: estKeyRecsBytes, sized: 2, need: 1, noteRecursion: ctx.spill.NoteDedupeRecursion,
+		leaf: func(s [][]keyRec) error {
+			counts := make(map[string]int, len(s[1]))
+			for _, r := range s[1] {
+				counts[string(r.key)]++
+			}
+			var seen map[string]bool
+			if !all {
+				seen = make(map[string]bool, len(s[0]))
+			}
+			for _, l := range s[0] {
+				if setOpKeep(kind, all, string(l.key), counts, seen) {
+					survivors = append(survivors, l.idx)
+				}
+			}
+			return nil
+		}}
+	if kind == sqlparser.SetIntersect {
+		pt.need = 2 // an intersect against an empty right side keeps nothing
+	}
 	fanout := graceFanout(estRowsBytes(left.Rows)+estRowsBytes(right.Rows), ctx.spill.Budget())
 	ctx.spill.NoteSetOpSpill(fanout)
-	leftRuns, err := ctx.spillRowKeys(left.Rows, 0, fanout, true)
+	leftRuns, err := lc.spill(ctx, left.Rows, fanout)
 	if err != nil {
 		return nil, err
 	}
-	rightRuns, err := ctx.spillRowKeys(right.Rows, 0, fanout, false)
+	rightRuns, err := rc.spill(ctx, right.Rows, fanout)
 	if err != nil {
 		return nil, err
 	}
-	var survivors []int
-	for p := 0; p < fanout; p++ {
-		if leftRuns[p].Records == 0 ||
-			(kind == sqlparser.SetIntersect && rightRuns[p].Records == 0) {
-			// No left rows means no output from this partition regardless
-			// of the operation, and an intersect against an empty right
-			// side keeps nothing; skip decoding the other side entirely.
-			leftRuns[p].Release()
-			rightRuns[p].Release()
-			continue
-		}
-		lrecs, err := readKeyRecs(leftRuns[p], true)
-		if err != nil {
-			return nil, err
-		}
-		rrecs, err := readKeyRecs(rightRuns[p], false)
-		if err != nil {
-			return nil, err
-		}
-		survivors, err = ctx.setOpNode(1, lrecs, rrecs, len(left.Rows)+len(right.Rows), kind, all, survivors)
-		if err != nil {
-			return nil, err
-		}
+	if err := pt.drain(ctx, 1, [][]*spill.Run{leftRuns, rightRuns}, len(left.Rows)+len(right.Rows)); err != nil {
+		return nil, err
 	}
 	sort.Ints(survivors)
 	out := &ResultSet{Columns: left.Columns, Rows: make([][]Value, 0, len(survivors))}
@@ -595,61 +447,4 @@ func (ctx *execContext) setOpSpilled(left, right *ResultSet, kind sqlparser.SetO
 		out.Rows = append(out.Rows, left.Rows[idx])
 	}
 	return out, nil
-}
-
-// setOpNode applies the set operation to one partition's left and right
-// records, re-partitioning skewed ones. setOpKeep encodes the per-key
-// decision shared with the in-memory loop in exec.go.
-func (ctx *execContext) setOpNode(level int, lrecs, rrecs []keyRec, parentLen int, kind sqlparser.SetOpKind, all bool, survivors []int) ([]int, error) {
-	if err := ctx.err(); err != nil {
-		return nil, err
-	}
-	est := estKeyRecsBytes(lrecs) + estKeyRecsBytes(rrecs)
-	if !ctx.spill.ShouldSpill(est) || level >= graceMaxDepth || len(lrecs)+len(rrecs) >= parentLen {
-		counts := make(map[string]int, len(rrecs))
-		for _, r := range rrecs {
-			counts[string(r.key)]++
-		}
-		var seen map[string]bool
-		if !all {
-			seen = make(map[string]bool, len(lrecs))
-		}
-		for _, l := range lrecs {
-			if setOpKeep(kind, all, string(l.key), counts, seen) {
-				survivors = append(survivors, l.idx)
-			}
-		}
-		return survivors, nil
-	}
-	fanout := graceFanout(est, ctx.spill.Budget())
-	ctx.spill.NoteDedupeRecursion(fanout)
-	leftRuns, err := ctx.spillKeyRecs(lrecs, level, fanout, true)
-	if err != nil {
-		return nil, err
-	}
-	rightRuns, err := ctx.spillKeyRecs(rrecs, level, fanout, false)
-	if err != nil {
-		return nil, err
-	}
-	for p := 0; p < fanout; p++ {
-		if leftRuns[p].Records == 0 ||
-			(kind == sqlparser.SetIntersect && rightRuns[p].Records == 0) {
-			leftRuns[p].Release()
-			rightRuns[p].Release()
-			continue
-		}
-		lpart, err := readKeyRecs(leftRuns[p], true)
-		if err != nil {
-			return nil, err
-		}
-		rpart, err := readKeyRecs(rightRuns[p], false)
-		if err != nil {
-			return nil, err
-		}
-		survivors, err = ctx.setOpNode(level+1, lpart, rpart, len(lrecs)+len(rrecs), kind, all, survivors)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return survivors, nil
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"flexdp/internal/sqlparser"
@@ -31,10 +30,10 @@ import (
 // ORDER BY keys per merged group, fanning groups across workers; outputs
 // assemble in group order.
 //
-// When the grouping state would exceed the memory budget, the sink streams
-// the morsels into level-0 partition files instead (keys evaluated per row,
-// rows tagged with their running input position) and the partitioned drain
-// (aggspill.go) handles recursion, skew, and output order.
+// When the grouping state would exceed the memory budget, the morsels stream
+// into level-0 partition files instead (keys evaluated per row, rows tagged
+// with their running input position) and the recursive partitioner drains
+// them (executeAggSpillStream, aggspill.go).
 //
 // Statements the sink cannot evaluate (aggregateParallelizable) materialize
 // and take the serial groupEnv loop (aggregate.go): subqueries, whose
@@ -567,85 +566,6 @@ func (ctx *execContext) executeAggregateStream(stmt *sqlparser.SelectStmt, p *pi
 		ctx.pstats.breaker(0)
 	}
 	res, keys, err := ctx.aggFinalize(stmt, rel, groups, slotOf)
-	if err == nil {
-		atrace.setRowsOut(len(res.Rows))
-	}
-	return res, keys, err
-}
-
-// executeAggSpillStream streams morsels into the spilled aggregation's
-// level-0 partition files: workers evaluate the GROUP BY keys per selected
-// row (only the keys — argument evaluation is deferred to the partition
-// drain), and the ordered consumer writes each row's record tagged with its
-// running input position. The drain (aggspill.go) then handles recursion,
-// skew, and output-order restoration.
-func (ctx *execContext) executeAggSpillStream(stmt *sqlparser.SelectStmt, p *pipeline) (*ResultSet, [][]Value, error) {
-	rel := p.rel
-	keyFns := make([]evalFn, len(stmt.GroupBy))
-	for i, e := range stmt.GroupBy {
-		fn, err := compileExpr(rel, ctx, e)
-		if err != nil {
-			return nil, nil, err
-		}
-		keyFns[i] = fn
-	}
-	fanout := graceFanout(estRowsBytes(p.src.rows), ctx.spill.Budget())
-	ctx.spill.NoteAggSpill(fanout)
-	ctx.pstats.breaker(0) // partitioned grouping state lives on disk
-	writers, abortW, err := ctx.newPartitionWriters(fanout)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	type keyedMorsel struct {
-		rows    [][]Value
-		keyVals [][]Value
-	}
-	produce := func(_ int, m morsel) (any, error) {
-		rows := m.dense()
-		keyVals := make([][]Value, len(rows))
-		for i, row := range rows {
-			kv := make([]Value, len(keyFns))
-			for k, fn := range keyFns {
-				v, err := fn(row)
-				if err != nil {
-					return nil, err
-				}
-				kv[k] = v
-			}
-			keyVals[i] = kv
-		}
-		return keyedMorsel{rows: rows, keyVals: keyVals}, nil
-	}
-	nRows := 0
-	var keyScratch, recScratch []byte
-	consume := func(payload any) error {
-		km := payload.(keyedMorsel)
-		//flexlint:ignore ctxpoll one keyedMorsel holds one morsel's rows; the pipeline driver polls between consume calls
-		for i, row := range km.rows {
-			idx := nRows
-			nRows++
-			keyScratch = AppendRowKey(keyScratch[:0], km.keyVals[i])
-			pt := int(graceHash(keyScratch, 0) % uint64(fanout))
-			recScratch = binary.AppendUvarint(recScratch[:0], uint64(idx))
-			recScratch = AppendRow(recScratch, km.keyVals[i])
-			recScratch = AppendRow(recScratch, row)
-			if err := writers[pt].Write(recScratch); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	produce, atrace := ctx.prof.sink("aggregate_spill", produce)
-	if err := p.run(ctx, true, produce, consume); err != nil {
-		abortW()
-		return nil, nil, err
-	}
-	runs, err := finishPartitionWriters(writers, abortW)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, keys, err := ctx.drainAggSpill(stmt, rel, runs, nRows)
 	if err == nil {
 		atrace.setRowsOut(len(res.Rows))
 	}

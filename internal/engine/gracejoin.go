@@ -1,21 +1,14 @@
 package engine
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-
-	"flexdp/internal/spill"
-)
+import "encoding/binary"
 
 // Grace-style partitioned hash join: when the build side exceeds the memory
-// budget, both inputs are hash-partitioned into spill files — rows with
-// equal join keys land in the same partition — and each partition is joined
-// independently with an in-memory build over the (now budget-sized)
-// partition. Skewed partitions that still exceed the budget are recursively
-// re-partitioned with a level-salted hash; a partition that stops shrinking
-// (every row sharing one key) is joined in memory regardless, since no hash
-// can split it.
+// budget, both inputs go through the recursive partitioner (partition.go)
+// keyed on the join key, and each partition is joined independently with an
+// in-memory build over the (now budget-sized) partition. The join supplies
+// idxCodec — rows tagged with their original position, a NULL join key
+// dropped — and graceLeaf; its level 0 is graceJoinOp (stream.go), whose
+// probe side streams into the partition writers.
 //
 // Determinism: the in-memory join emits matches ordered by (left row,
 // build row) — probe rows are scanned in order and every posting list holds
@@ -25,15 +18,6 @@ import (
 // joins entirely inside one partition, a final stable sort on the left
 // index restores the global order. Rows round-trip through the exact Value
 // codec, so the output is bit-identical to the in-memory path.
-
-const (
-	// graceFanoutMin/Max bound the partition fan-out per level.
-	graceFanoutMin = 4
-	graceFanoutMax = 32
-	// graceMaxDepth bounds recursive re-partitioning; beyond it a partition
-	// is joined in memory even over budget (and counted in the stats).
-	graceMaxDepth = 6
-)
 
 // idxRow is a row tagged with its position in the original relation, so
 // matched-flag updates and output ordering survive partitioning.
@@ -83,53 +67,17 @@ func (st *graceState) noteResidualErr(li, ri int, err error) {
 func (st *graceState) leftCol(i int) int  { return st.keys[i].leftIdx }
 func (st *graceState) rightCol(i int) int { return st.keys[i].rightIdx }
 
-// graceNode joins one partition of level ≥ 1 (graceJoinOp partitions level
-// 0): either in memory (fits budget, max depth, or irreducible skew) or by
-// re-partitioning to disk.
-func (ctx *execContext) graceNode(level int, build, probe []idxRow, parentBuildLen int, st *graceState) error {
-	if err := ctx.err(); err != nil {
-		return err
+// gracePartition is the join's partitioner over the records below level 0:
+// the build side (sized, side 0) and the probe side, both keyed by the
+// record key columns. A partition missing either side can produce no match
+// (outer padding reads the flags), so it is skipped unread.
+func (ctx *execContext) gracePartition(st *graceState) *partition[idxRow] {
+	return &partition[idxRow]{
+		codecs: []partCodec[idxRow]{newIdxCodec(st.rightCol, len(st.keys), nil), newIdxCodec(st.leftCol, len(st.keys), nil)},
+		size:   estIdxRowsBytes, sized: 1, need: 2,
+		noteRecursion: ctx.spill.NoteJoinRecursion, noteOverBudget: ctx.spill.NoteOverBudgetBuild,
+		leaf: func(s [][]idxRow) error { return ctx.graceLeaf(s[0], s[1], st) },
 	}
-	est := estIdxRowsBytes(build)
-	over := ctx.spill.ShouldSpill(est)
-	if !over || level >= graceMaxDepth || len(build) >= parentBuildLen {
-		if over {
-			ctx.spill.NoteOverBudgetBuild()
-		}
-		return ctx.graceLeaf(build, probe, st)
-	}
-
-	fanout := graceFanout(est, ctx.spill.Budget())
-	ctx.spill.NoteJoinRecursion(fanout)
-	buildRuns, err := ctx.gracePartitionSide(build, st.rightCol, len(st.keys), level, fanout, nil)
-	if err != nil {
-		return err
-	}
-	probeRuns, err := ctx.gracePartitionSide(probe, st.leftCol, len(st.keys), level, fanout, nil)
-	if err != nil {
-		return err
-	}
-	for p := 0; p < fanout; p++ {
-		if buildRuns[p].Records == 0 || probeRuns[p].Records == 0 {
-			// No matches possible (outer padding reads the flags); skip the
-			// decode of the non-empty side entirely.
-			buildRuns[p].Release()
-			probeRuns[p].Release()
-			continue
-		}
-		bPart, err := readIdxRows(buildRuns[p])
-		if err != nil {
-			return err
-		}
-		pPart, err := readIdxRows(probeRuns[p])
-		if err != nil {
-			return err
-		}
-		if err := ctx.graceNode(level+1, bPart, pPart, len(build), st); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // graceLeaf is the terminal in-memory build/probe over one partition.
@@ -184,98 +132,38 @@ func (ctx *execContext) graceLeaf(build, probe []idxRow, st *graceState) error {
 	return nil
 }
 
-// gracePartitionSide hash-partitions one side's rows into fanout spill
-// runs. Rows with NULL join keys are dropped — they can never match, and
-// the matched flags they would never set drive the outer-join padding. A
-// non-nil cols narrows each record to those columns of the row.
-func (ctx *execContext) gracePartitionSide(rows []idxRow, keyCol func(int) int, nKeys, level, fanout int, cols []int) ([]*spill.Run, error) {
-	writers, abort, err := ctx.newPartitionWriters(fanout)
+// idxCodec is one join side's record codec: the row's original position,
+// then the row narrowed to cols (nil: the whole row). The partition key is
+// the join key over keyCol; a NULL key drops the row, since it can never
+// match and the matched flag it never sets drives the outer-join padding.
+type idxCodec struct {
+	keyCol func(int) int
+	cols   []int
+	keyBuf []Value // one slot per key column
+	row    []Value // scratch
+}
+
+func newIdxCodec(keyCol func(int) int, nKeys int, cols []int) *idxCodec {
+	return &idxCodec{keyCol: keyCol, cols: cols, keyBuf: make([]Value, nKeys)}
+}
+
+func (c *idxCodec) key(dst []byte, r idxRow) ([]byte, bool) {
+	kb, null := encodeJoinKey(dst, r.row, c.keyCol, len(c.keyBuf), c.keyBuf)
+	return kb, !null
+}
+
+func (c *idxCodec) encode(dst []byte, r idxRow) []byte {
+	c.row = appendKept(c.row[:0], r.row, c.cols)
+	return AppendRow(binary.AppendUvarint(dst, uint64(r.idx)), c.row)
+}
+
+func (c *idxCodec) decode(rec []byte) (idxRow, error) {
+	idx, rest, err := decodeIdx(rec)
 	if err != nil {
-		return nil, err
+		return idxRow{}, err
 	}
-	keyBuf := make([]Value, nKeys)
-	var keyScratch, recScratch []byte
-	var rowScratch []Value
-	for i, r := range rows {
-		if i%ctx.morsel == 0 {
-			if err := ctx.err(); err != nil {
-				abort()
-				return nil, err
-			}
-		}
-		kb, null := encodeJoinKey(keyScratch[:0], r.row, keyCol, nKeys, keyBuf)
-		keyScratch = kb
-		if null {
-			continue
-		}
-		p := int(graceHash(kb, level) % uint64(fanout))
-		recScratch = binary.AppendUvarint(recScratch[:0], uint64(r.idx))
-		rowScratch = appendKept(rowScratch[:0], r.row, cols)
-		recScratch = AppendRow(recScratch, rowScratch)
-		if err := writers[p].Write(recScratch); err != nil {
-			abort()
-			return nil, err
-		}
-	}
-	return finishPartitionWriters(writers, abort)
-}
-
-// readIdxRows loads one partition run back into memory (Open already
-// unlinked the file; closing the reader frees the disk space).
-func readIdxRows(run *spill.Run) ([]idxRow, error) {
-	r, err := run.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	out := make([]idxRow, 0, run.Records)
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		idx, n := binary.Uvarint(rec)
-		if n <= 0 {
-			return nil, fmt.Errorf("engine: corrupt spill record index")
-		}
-		row, _, err := DecodeRow(rec[n:])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, idxRow{idx: int(idx), row: row})
-	}
-	return out, nil
-}
-
-// graceHash hashes an encoded join key with a per-level salt, so a skewed
-// partition re-partitions along fresh boundaries instead of collapsing into
-// one bucket again. Independent of buildShard's unsalted FNV-32.
-func graceHash(key []byte, level int) uint64 {
-	h := uint64(14695981039346656037) ^ (uint64(level)+1)*1099511628211
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// graceFanout sizes the partition fan-out so each partition's build side
-// lands near half the budget, within [graceFanoutMin, graceFanoutMax].
-func graceFanout(est, budget int64) int {
-	if budget <= 0 {
-		return graceFanoutMin
-	}
-	f := int(est/(budget/2+1)) + 1
-	if f < graceFanoutMin {
-		f = graceFanoutMin
-	}
-	if f > graceFanoutMax {
-		f = graceFanoutMax
-	}
-	return f
+	row, _, err := DecodeRow(rest)
+	return idxRow{idx: idx, row: row}, err
 }
 
 // estIdxRowsBytes estimates the in-memory footprint of tagged rows.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -413,6 +414,59 @@ func TestCommaJoinRunsThePlannedTree(t *testing.T) {
 	for _, sql := range []string{comma, "SELECT COUNT(*) FROM t JOIN u ON t.k = u.k WHERE t.v > 50"} {
 		if got := queryScalar(t, db, sql).Int; got != want {
 			t.Errorf("%s: %d, want %d", sql, got, want)
+		}
+	}
+}
+
+// TestCommaJoinKeySemantics pins the equality a linked comma join matches
+// by: the hash-key encoding, as its JOIN … ON spelling always has, not the
+// WHERE's =. The two differ on NaN (keys match, = does not) and on integers
+// beyond 2^53 (= compares them as float64, keys do not), so on those inputs
+// both spellings must return the same rows, and the pinned row counts show
+// which rule they share.
+func TestCommaJoinKeySemantics(t *testing.T) {
+	db := NewDB()
+	db.MustCreateTable("a", []Column{{Name: "id", Type: KindInt}, {Name: "f", Type: KindFloat}, {Name: "i", Type: KindInt}})
+	db.MustCreateTable("b", []Column{{Name: "id", Type: KindInt}, {Name: "f", Type: KindFloat}})
+	nan := NewFloat(math.NaN())
+	if err := db.InsertRows("a", [][]Value{
+		{NewInt(1), nan, NewInt(1<<53 + 1)},
+		{NewInt(2), NewFloat(2.5), NewInt(3)},
+		{NewInt(3), nan, NewInt(1 << 53)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRows("b", [][]Value{
+		{NewInt(10), NewFloat(1 << 53)},
+		{NewInt(11), nan},
+		{NewInt(12), NewFloat(3)},
+		{NewInt(13), NewFloat(2.5)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		on   string
+		rows int
+	}{
+		{"a.f = b.f", 3}, // NaN matches NaN twice, 2.5 once
+		{"a.i = b.f", 2}, // 3 = 3.0 and 2^53 = 2^53; 2^53+1 matches nothing
+		{"b.f = a.i AND a.id > 1", 2},
+	} {
+		comma := "SELECT a.id, b.id FROM a, b WHERE " + c.on
+		join := "SELECT a.id, b.id FROM a JOIN b ON " + c.on
+		want, err := db.Query(join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.Query(comma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := resultsEqualExact(want, got); diff != "" {
+			t.Errorf("%s vs its JOIN spelling: %s", comma, diff)
+		}
+		if len(want.Rows) != c.rows {
+			t.Errorf("%s: %d rows, want %d", join, len(want.Rows), c.rows)
 		}
 	}
 }

@@ -47,7 +47,7 @@ var spillQueries = []string{
 	`SELECT t.id, t.fare FROM trips t JOIN drivers d ON t.driver_id = d.id
 		ORDER BY t.fare DESC, t.id`,
 	// Grouped aggregation, DISTINCT, and set operations (PR 5): their hash
-	// state goes out-of-core through the shared partitioning helper.
+	// state goes out-of-core through the shared partitioner.
 	`SELECT driver_id, SUM(fare) FROM trips GROUP BY driver_id HAVING COUNT(*) > 1 ORDER BY driver_id`,
 	`SELECT city_id, COUNT(DISTINCT driver_id) FROM trips GROUP BY city_id ORDER BY city_id`,
 	`SELECT DISTINCT driver_id, city_id FROM trips`,
@@ -394,6 +394,76 @@ func TestGraceJoinSkewRecursion(t *testing.T) {
 	db.SetMemoryBudget(0)
 }
 
+// TestDedupeSetOpSpillRecursion pins the recursive re-partitioning of the
+// spilled DISTINCT and INTERSECT/EXCEPT key state. Half of a's rows and a
+// third of b's share one key (irreducible skew: that partition stops
+// shrinking and is processed in memory over budget); the rest are distinct
+// (those partitions stay over budget after the first split and must
+// re-partition). Every query must
+// recurse, and must return the rows, in the order, of the unbudgeted run.
+func TestDedupeSetOpSpillRecursion(t *testing.T) {
+	db := NewDB()
+	db.SetTempDir(t.TempDir())
+	db.SetMorselSize(16)
+	db.MustCreateTable("a", []Column{{Name: "k", Type: KindInt}, {Name: "s", Type: KindString}})
+	db.MustCreateTable("b", []Column{{Name: "k", Type: KindInt}})
+	arows := make([][]Value, 80)
+	for i := range arows {
+		k := int64(i)
+		if i%2 == 0 {
+			k = 7
+		}
+		arows[i] = []Value{NewInt(k), NewString(fmt.Sprintf("s%d", k%50))}
+	}
+	brows := make([][]Value, 60)
+	for i := range brows {
+		k := int64(2 * i)
+		if i%3 == 0 {
+			k = 7
+		}
+		brows[i] = []Value{NewInt(k)}
+	}
+	if err := db.InsertRows("a", arows); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRows("b", brows); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		`SELECT DISTINCT k, s FROM a`,
+		`SELECT DISTINCT s FROM a ORDER BY s DESC`,
+		`SELECT k FROM a INTERSECT SELECT k FROM b`,
+		`SELECT k FROM a INTERSECT ALL SELECT k FROM b`,
+		`SELECT k FROM a EXCEPT SELECT k FROM b`,
+		`SELECT k FROM a EXCEPT ALL SELECT k FROM b`,
+		`SELECT k FROM b EXCEPT ALL SELECT k FROM a`,
+	} {
+		db.SetMemoryBudget(0)
+		db.SetParallelism(1)
+		want, err := db.Query(sql)
+		if err != nil {
+			t.Fatalf("in-memory %s: %v", sql, err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			db.SetMemoryBudget(64)
+			db.SetParallelism(workers)
+			before := db.SpillStats()
+			got, err := db.Query(sql)
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, sql, err)
+			}
+			if diff := resultsEqualExact(want, got); diff != "" {
+				t.Fatalf("workers=%d %s: %s", workers, sql, diff)
+			}
+			if st := db.SpillStats().Delta(before); st.DedupeRecursions == 0 {
+				t.Fatalf("workers=%d %s: spilled key state never re-partitioned: %+v", workers, sql, st)
+			}
+		}
+	}
+	db.SetMemoryBudget(0)
+	db.SetParallelism(0)
+}
+
 // TestExternalSortStability checks the stable-sort contract on heavy
 // duplicate keys: equal-key rows must keep input order through the runs and
 // merges.
@@ -447,7 +517,7 @@ func TestGraceJoinResidualErrorOrder(t *testing.T) {
 	const budget, nKeys, perKey = int64(64), 12, 4
 
 	// Build the u side first so the level-0 partition of every key can be
-	// computed exactly as graceNode will: the serial-first failing pair is
+	// computed exactly as the Grace join will: the serial-first failing pair is
 	// then deliberately given the key living in the HIGHEST-numbered
 	// partition, so any implementation that surfaces the first error in
 	// partition-scan order reports a different (BOOL) operand kind.

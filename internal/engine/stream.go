@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -791,32 +790,23 @@ func (o *hashJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 
 // graceJoinOp streams the probe side of an out-of-core Grace join. The build
 // side is partitioned to disk at construction (level 0); apply streams probe
-// rows straight into the probe partition writers, so the probe side never
+// rows straight into the probe partition writer, so the probe side never
 // materializes in memory — the spill budget is the back-pressure valve.
-// flush joins partition pairs with the shared graceNode recursion and emits
-// matches (restored to serial probe order) then outer pads.
+// flush drains the partition pairs through the join's partitioner
+// (gracePartition) and emits matches (restored to serial probe order) then
+// outer pads.
 type graceJoinOp struct {
 	kind      sqlparser.JoinKind
-	keys      []equiKey
 	st        *graceState // keys, kept columns and residuals as the spilled records see them
 	rightRows [][]Value
 	out       joinLayout // the output row over full input rows (outer padding)
-	leftCols  []int      // the columns a probe record carries; nil for all
 
-	fanout    int
 	buildRuns []*spill.Run
-	writers   []*spill.RunWriter
-	abortW    func()
+	probe     *partWriter[idxRow]
 	finished  bool
 
 	keepLeft bool      // Left/Full: retain probe rows for padding
 	padRows  [][]Value // retained probe rows (keepLeft only)
-	nProbe   int       // probe rows seen (absolute left index counter)
-
-	keyBuf     []Value
-	keyScratch []byte
-	recScratch []byte
-	rowScratch []Value
 }
 
 // graceRecordCols lists the columns one side's Grace records carry under a
@@ -835,55 +825,46 @@ func graceRecordCols(keyCol func(int) int, nKeys int, keep []int) (cols, recKeep
 }
 
 // newGraceJoinOp partitions the build side and opens the probe partition
-// writers: the join's level-0 work and stats. It needs at least one key.
+// writer: the join's level-0 work and stats. It needs at least one key.
 // With keep-lists the records of both sides are narrowed to key + kept
 // columns, and the partition joins below level 0 run over those records.
 func (ctx *execContext) newGraceJoinOp(kind sqlparser.JoinKind, probe joinProbe, right *relation) (*graceJoinOp, error) {
 	keys := probe.keys
-	o := &graceJoinOp{kind: kind, keys: keys, rightRows: right.rows, out: probe.joinLayout,
-		keepLeft: kind == sqlparser.JoinLeft || kind == sqlparser.JoinFull,
-		keyBuf:   make([]Value, len(keys))}
-	o.st = &graceState{keys: keys, resFns: probe.resFns, width: probe.nLeft + probe.nRight}
-	var rightCols []int
+	leftCol := func(i int) int { return keys[i].leftIdx }
+	rightCol := func(i int) int { return keys[i].rightIdx }
+	st := &graceState{keys: keys, resFns: probe.resFns, width: probe.nLeft + probe.nRight}
+	var leftCols, rightCols []int
 	if probe.keepL != nil {
 		recKeys := make([]equiKey, len(keys))
 		for i := range recKeys {
 			recKeys[i] = equiKey{leftIdx: i, rightIdx: i}
 		}
-		o.st.keys = recKeys
-		o.leftCols, o.st.keepL = graceRecordCols(o.leftCol, len(keys), probe.keepL)
-		rightCols, o.st.keepR = graceRecordCols(o.rightCol, len(keys), probe.keepR)
+		st.keys = recKeys
+		leftCols, st.keepL = graceRecordCols(leftCol, len(keys), probe.keepL)
+		rightCols, st.keepR = graceRecordCols(rightCol, len(keys), probe.keepR)
 	}
-	build := make([]idxRow, len(right.rows))
-	for i, r := range right.rows {
-		if i%ctx.morsel == 0 {
-			if err := ctx.err(); err != nil {
-				return nil, err
-			}
-		}
-		build[i] = idxRow{idx: i, row: r}
+	if err := ctx.err(); err != nil {
+		return nil, err
 	}
-	o.fanout = graceFanout(estIdxRowsBytes(build), ctx.spill.Budget())
-	ctx.spill.NoteJoinSpill(o.fanout)
+	rows := right.rows
+	// estIdxRowsBytes of the position-tagged build rows.
+	fanout := graceFanout(estRowsBytes(rows)+8*int64(len(rows)), ctx.spill.Budget())
+	ctx.spill.NoteJoinSpill(fanout)
 	ctx.pstats.breaker(0) // partitioned build state lives on disk
-	buildRuns, err := ctx.gracePartitionSide(build, o.rightCol, len(keys), 0, o.fanout, rightCols)
+	buildRuns, err := spillSide(ctx, newIdxCodec(rightCol, len(keys), rightCols), 0, fanout, len(rows),
+		func(i int) idxRow { return idxRow{idx: i, row: rows[i]} })
 	if err != nil {
 		return nil, err
 	}
-	o.buildRuns = buildRuns
-	writers, abortW, err := ctx.newPartitionWriters(o.fanout)
+	probeW, err := newPartWriter[idxRow](ctx, newIdxCodec(leftCol, len(keys), leftCols), 0, fanout)
 	if err != nil {
-		for _, r := range buildRuns {
-			r.Release()
-		}
+		releaseRuns(buildRuns)
 		return nil, err
 	}
-	o.writers, o.abortW = writers, abortW
-	return o, nil
+	return &graceJoinOp{kind: kind, st: st, rightRows: rows, out: probe.joinLayout,
+		buildRuns: buildRuns, probe: probeW,
+		keepLeft: kind == sqlparser.JoinLeft || kind == sqlparser.JoinFull}, nil
 }
-
-func (o *graceJoinOp) leftCol(i int) int  { return o.keys[i].leftIdx }
-func (o *graceJoinOp) rightCol(i int) int { return o.keys[i].rightIdx }
 
 func (o *graceJoinOp) bind(int) {}
 
@@ -895,31 +876,17 @@ func (o *graceJoinOp) abort() {
 		return
 	}
 	o.finished = true
-	o.abortW()
-	for _, r := range o.buildRuns {
-		if r != nil {
-			r.Release()
-		}
-	}
+	o.probe.abort()
+	releaseRuns(o.buildRuns)
 }
 
 func (o *graceJoinOp) apply(ctx *execContext, _ int, m morsel) (morsel, error) {
 	for _, lr := range m.dense() {
-		idx := o.nProbe
-		o.nProbe++
 		if o.keepLeft {
 			o.padRows = append(o.padRows, lr)
 		}
-		kb, null := encodeJoinKey(o.keyScratch[:0], lr, o.leftCol, len(o.keys), o.keyBuf)
-		o.keyScratch = kb
-		if null {
-			continue // NULL keys never match; the unset flag drives padding
-		}
-		p := int(graceHash(kb, 0) % uint64(o.fanout))
-		o.recScratch = binary.AppendUvarint(o.recScratch[:0], uint64(idx))
-		o.rowScratch = appendKept(o.rowScratch[:0], lr, o.leftCols)
-		o.recScratch = AppendRow(o.recScratch, o.rowScratch)
-		if err := o.writers[p].Write(o.recScratch); err != nil {
+		// probe.n counts the probe rows routed so far: this row's index.
+		if err := o.probe.write(idxRow{idx: o.probe.n, row: lr}); err != nil {
 			return morsel{}, err
 		}
 	}
@@ -929,35 +896,17 @@ func (o *graceJoinOp) apply(ctx *execContext, _ int, m morsel) (morsel, error) {
 
 func (o *graceJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 	o.finished = true
-	probeRuns, err := finishPartitionWriters(o.writers, o.abortW)
+	probeRuns, err := o.probe.finish()
 	if err != nil {
-		for _, r := range o.buildRuns {
-			if r != nil {
-				r.Release()
-			}
-		}
+		releaseRuns(o.buildRuns)
 		return err
 	}
 	st := o.st
-	st.matchedLeft = make([]bool, o.nProbe)
+	st.matchedLeft = make([]bool, o.probe.n)
 	st.matchedRight = make([]bool, len(o.rightRows))
-	for p := 0; p < o.fanout; p++ {
-		if o.buildRuns[p].Records == 0 || probeRuns[p].Records == 0 {
-			o.buildRuns[p].Release()
-			probeRuns[p].Release()
-			continue
-		}
-		bPart, err := readIdxRows(o.buildRuns[p])
-		if err != nil {
-			return err
-		}
-		pPart, err := readIdxRows(probeRuns[p])
-		if err != nil {
-			return err
-		}
-		if err := ctx.graceNode(1, bPart, pPart, len(o.rightRows), st); err != nil {
-			return err
-		}
+	runs := [][]*spill.Run{o.buildRuns, probeRuns}
+	if err := ctx.gracePartition(st).drain(ctx, 1, runs, len(o.rightRows)); err != nil {
+		return err
 	}
 	if st.resErr != nil {
 		return st.resErr

@@ -88,6 +88,21 @@ func TestCutoffK(t *testing.T) {
 	if got := CutoffK(100, beta, 10); got != 10 {
 		t.Errorf("CutoffK capped = %d, want 10", got)
 	}
+	// Non-integral λ/β rounds up: k = floor(λ/β) would end the search one
+	// step before the bound Theorem 3 proves.
+	for _, c := range []struct {
+		degree int
+		beta   float64
+		want   int
+	}{
+		{1, 0.03, 34}, // 33.3…
+		{3, 0.7, 5},   // 4.28…
+		{4, 0.3, 14},  // 13.3…
+	} {
+		if got := CutoffK(c.degree, c.beta, 1000000); got != c.want {
+			t.Errorf("CutoffK(%d, %g) = %d, want %d", c.degree, c.beta, got, c.want)
+		}
+	}
 }
 
 func TestSmoothWithCutoffMatchesFullSearch(t *testing.T) {
