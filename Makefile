@@ -59,10 +59,11 @@ bench-parallel:
 
 # Out-of-core operators under a spill-forcing budget: Grace partitioned
 # join, external merge sort, and partitioned grouped aggregation vs their
-# in-memory counterparts.
+# in-memory counterparts, plus the TPC-H Q1 and Q13 shapes (wide-row
+# grouped COUNT(*), many-match Grace join), which the gate does not cover.
 bench-spill:
 	$(GO) test ./internal/engine -run '^$$' \
-		-bench 'BenchmarkSpillJoin|BenchmarkSpillSort|BenchmarkSpillAggregate|BenchmarkHashJoin|BenchmarkGroupByAggregate' \
+		-bench 'BenchmarkSpillJoin|BenchmarkSpillSort|BenchmarkSpillAggregate|BenchmarkHashJoin|BenchmarkGroupByAggregate|BenchmarkWideRowAggSpill|BenchmarkManyMatchJoinSpill' \
 		-benchtime 1s
 
 # The streamed executor on a scan → filter → group-by plan, untraced

@@ -12,7 +12,9 @@ import (
 // Partitioned (spilled) grouped aggregation, plus the budget-bounded
 // variants of DISTINCT dedup and set-operation key sets. Each is a record
 // codec and a leaf over the recursive partitioner (partition.go), keyed on
-// the group key or the whole row's key.
+// the group key or the whole row's key. An aggregation record carries the
+// input row narrowed to the columns the leaf reads (aggLeafCols), so a
+// COUNT(*) grouped on computed keys writes position and key values only.
 //
 // Determinism: partition files preserve input order, and every group (or
 // dedupe/set-op key) lives entirely inside one partition at every level.
@@ -27,9 +29,10 @@ import (
 // group — the one the serial group loop would have hit first.
 
 // aggRec is one spilled aggregation input row: its original scan position,
-// the evaluated GROUP BY key values, and the row itself. Key values ride
-// along so deeper partitioning levels and the per-partition grouping never
-// re-evaluate key expressions.
+// the evaluated GROUP BY key values, and the row — at level 0 the whole
+// input row, below it the row narrowed to the columns the leaf reads
+// (aggLeafCols). Key values ride along so deeper partitioning levels and
+// the per-partition grouping never re-evaluate key expressions.
 type aggRec struct {
 	idx     int
 	keyVals []Value
@@ -90,10 +93,28 @@ func (ctx *execContext) executeAggSpillStream(stmt *sqlparser.SelectStmt, p *pip
 		}
 		keyFns[i] = fn
 	}
+	var names []string
+	for i, item := range stmt.Columns {
+		names = append(names, outputName(item, i))
+	}
+	// Level-0 records carry only the columns the leaf reads, and the leaf
+	// resolves names against the relation narrowed the same way.
+	cols := aggLeafCols(stmt, rel, names)
+	leafRel := rel
+	if cols != nil {
+		leafRel = &relation{cols: make([]relCol, len(cols))}
+		for i, c := range cols {
+			leafRel.cols[i] = rel.cols[c]
+		}
+		// The leaves compile against it concurrently, and these two fill
+		// lazily.
+		leafRel.index()
+		leafRel.layoutSig()
+	}
 	fanout := graceFanout(estRowsBytes(p.src.rows), ctx.spill.Budget())
 	ctx.spill.NoteAggSpill(fanout)
 	ctx.pstats.breaker(0) // partitioned grouping state lives on disk
-	w, err := newPartWriter[aggRec](ctx, aggCodec{}, 0, fanout)
+	w, err := newPartWriter[aggRec](ctx, aggCodec{cols: cols}, 0, fanout)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -139,11 +160,7 @@ func (ctx *execContext) executeAggSpillStream(stmt *sqlparser.SelectStmt, p *pip
 		return nil, nil, err
 	}
 
-	var names []string
-	for i, item := range stmt.Columns {
-		names = append(names, outputName(item, i))
-	}
-	st := &aggSpillState{stmt: stmt, rel: rel, cache: newExprCache(),
+	st := &aggSpillState{stmt: stmt, rel: leafRel, cache: newExprCache(),
 		outCols: names, needSort: len(stmt.OrderBy) > 0}
 	// Level-0 partitions are disjoint by construction (every group lives in
 	// exactly one), so they drain in parallel, every leaf merging into st.
@@ -253,14 +270,63 @@ func (ctx *execContext) aggSpillLeaf(recs []aggRec, st *aggSpillState) error {
 }
 
 // aggCodec is the spilled aggregation's record codec: the row's input
-// position, its GROUP BY key values, then the row. The partition key is the
-// key values' row key.
-type aggCodec struct{}
+// position, its GROUP BY key values, then the row narrowed to cols (nil: the
+// whole row; records below level 0 are narrow already). The partition key is
+// the key values' row key.
+type aggCodec struct{ cols []int }
 
 func (aggCodec) key(dst []byte, r aggRec) ([]byte, bool) { return AppendRowKey(dst, r.keyVals), true }
 
-func (aggCodec) encode(dst []byte, r aggRec) []byte {
-	return AppendRow(AppendRow(binary.AppendUvarint(dst, uint64(r.idx)), r.keyVals), r.row)
+func (c aggCodec) encode(dst []byte, r aggRec) []byte {
+	return appendRowCols(AppendRow(binary.AppendUvarint(dst, uint64(r.idx)), r.keyVals), r.row, c.cols)
+}
+
+// aggLeafCols lists, ascending, the columns of rel that aggSpillLeaf's
+// groupEnv can read: those HAVING, the select list and the ORDER BY keys
+// reference, less any of them groupEnv.eval answers from the key values (an
+// expression equal to a GROUP BY expression) and ORDER BY keys sortKey reads
+// off the output row (positions and output names). It returns nil — keep
+// the whole row — when some reference does not resolve uniquely or an
+// expression holds a subquery, so the leaf raises the serial path's errors.
+// The set may exceed what a group reads, never fall short of it.
+func aggLeafCols(stmt *sqlparser.SelectStmt, rel *relation, outNames []string) []int {
+	read := make([]bool, len(rel.cols))
+	ok := true
+	need := func(e sqlparser.Expr) {
+		for _, g := range stmt.GroupBy {
+			if exprEqual(e, g) {
+				return
+			}
+		}
+		refs, rok := exprRefs(e, rel, false, nil)
+		ok = ok && rok
+		for _, i := range refs {
+			if i >= 0 {
+				read[i] = true
+			}
+		}
+	}
+	for _, item := range stmt.Columns {
+		need(item.Expr)
+	}
+	if stmt.Having != nil {
+		need(stmt.Having)
+	}
+	for _, item := range stmt.OrderBy {
+		if !sortsOnOutput(item.Expr, outNames) {
+			need(item.Expr)
+		}
+	}
+	if !ok {
+		return nil
+	}
+	cols := []int{} // non-nil: nil keeps the whole row
+	for i, r := range read {
+		if r {
+			cols = append(cols, i)
+		}
+	}
+	return cols
 }
 
 func (aggCodec) decode(rec []byte) (aggRec, error) {

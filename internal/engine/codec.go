@@ -98,6 +98,19 @@ func AppendRow(b []byte, row []Value) []byte {
 	return b
 }
 
+// appendRowCols appends row narrowed to the columns cols lists (nil: every
+// column) in AppendRow's encoding, without building the narrowed row.
+func appendRowCols(b []byte, row []Value, cols []int) []byte {
+	if cols == nil {
+		return AppendRow(b, row)
+	}
+	b = binary.AppendUvarint(b, uint64(len(cols)))
+	for _, c := range cols {
+		b = AppendValue(b, row[c])
+	}
+	return b
+}
+
 // DecodeRow decodes one row from b, returning it and the bytes consumed.
 func DecodeRow(b []byte) ([]Value, int, error) {
 	arity, w := binary.Uvarint(b)

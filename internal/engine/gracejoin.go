@@ -1,6 +1,9 @@
 package engine
 
-import "encoding/binary"
+import (
+	"container/heap"
+	"encoding/binary"
+)
 
 // Grace-style partitioned hash join: when the build side exceeds the memory
 // budget, both inputs go through the recursive partitioner (partition.go)
@@ -13,11 +16,12 @@ import "encoding/binary"
 // Determinism: the in-memory join emits matches ordered by (left row,
 // build row) — probe rows are scanned in order and every posting list holds
 // ascending build positions. The Grace join reproduces exactly that order:
-// partition files preserve input order, so within a partition matches are
-// emitted ascending by (left index, build index), and because each left row
-// joins entirely inside one partition, a final stable sort on the left
-// index restores the global order. Rows round-trip through the exact Value
-// codec, so the output is bit-identical to the in-memory path.
+// partition files preserve input order, so each leaf emits one run of
+// matches ascending by (left index, build index), and because each left row
+// joins entirely inside one partition, a k-way merge of the runs on the
+// left index restores the global order (emitMatches). Rows round-trip
+// through the exact Value codec, so the output is bit-identical to the
+// in-memory path.
 
 // idxRow is a row tagged with its position in the original relation, so
 // matched-flag updates and output ordering survive partitioning.
@@ -27,7 +31,7 @@ type idxRow struct {
 }
 
 // graceRow is one emitted combined row tagged with its left-row index for
-// the final order-restoring sort.
+// the order-restoring merge.
 type graceRow struct {
 	li  int
 	row []Value
@@ -44,7 +48,10 @@ type graceState struct {
 	keepL, keepR []int
 	matchedLeft  []bool
 	matchedRight []bool
-	out          []graceRow
+	// out holds every leaf's matches, one run per leaf call; runEnds[i] is
+	// where run i ends in out.
+	out     []graceRow
+	runEnds []int
 	// resErr tracks the residual-evaluation error of the lexicographically
 	// smallest failing (left, build) position pair seen so far. The serial
 	// probe evaluates pairs in exactly that order and stops at the first
@@ -76,8 +83,72 @@ func (ctx *execContext) gracePartition(st *graceState) *partition[idxRow] {
 		codecs: []partCodec[idxRow]{newIdxCodec(st.rightCol, len(st.keys), nil), newIdxCodec(st.leftCol, len(st.keys), nil)},
 		size:   estIdxRowsBytes, sized: 1, need: 2,
 		noteRecursion: ctx.spill.NoteJoinRecursion, noteOverBudget: ctx.spill.NoteOverBudgetBuild,
-		leaf: func(s [][]idxRow) error { return ctx.graceLeaf(s[0], s[1], st) },
+		leaf: func(s [][]idxRow) error {
+			err := ctx.graceLeaf(s[0], s[1], st)
+			st.runEnds = append(st.runEnds, len(st.out))
+			return err
+		},
 	}
+}
+
+// emitMatches emits out in ascending probe index, in morsels of chunk rows.
+// Each leaf call appended one run of matches ascending by probe index, and
+// a probe row's matches all lie in one run in build order, so a k-way merge
+// of the runs by probe index restores exactly the serial probe emit order
+// in O(n log k) time and O(k) memory beyond the morsel being filled.
+func (st *graceState) emitMatches(ctx *execContext, chunk int, emit func(morsel) error) error {
+	h := &matchRuns{out: st.out}
+	start := 0
+	for _, end := range st.runEnds {
+		if end > start {
+			h.runs = append(h.runs, [2]int{start, end})
+		}
+		start = end
+	}
+	heap.Init(h)
+	rows := make([][]Value, 0, min(chunk, len(st.out)))
+	for h.Len() > 0 {
+		r := &h.runs[0]
+		for li := st.out[r[0]].li; r[0] < r[1] && st.out[r[0]].li == li; r[0]++ {
+			if len(rows) == chunk {
+				if err := ctx.err(); err != nil {
+					return err
+				}
+				if err := emit(morsel{rows: rows}); err != nil {
+					return err
+				}
+				rows = make([][]Value, 0, chunk)
+			}
+			rows = append(rows, st.out[r[0]].row)
+		}
+		if r[0] == r[1] {
+			heap.Pop(h)
+		} else {
+			heap.Fix(h, 0)
+		}
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	return emit(morsel{rows: rows})
+}
+
+// matchRuns is a min-heap of match runs, each a [next, end) range of out,
+// keyed by the probe index of its next match. Runs never share a probe
+// index, so the order is total.
+type matchRuns struct {
+	out  []graceRow
+	runs [][2]int
+}
+
+func (h *matchRuns) Len() int           { return len(h.runs) }
+func (h *matchRuns) Less(a, b int) bool { return h.out[h.runs[a][0]].li < h.out[h.runs[b][0]].li }
+func (h *matchRuns) Swap(a, b int)      { h.runs[a], h.runs[b] = h.runs[b], h.runs[a] }
+func (h *matchRuns) Push(x any)         { h.runs = append(h.runs, x.([2]int)) }
+func (h *matchRuns) Pop() any {
+	r := h.runs[len(h.runs)-1]
+	h.runs = h.runs[:len(h.runs)-1]
+	return r
 }
 
 // graceLeaf is the terminal in-memory build/probe over one partition.
@@ -140,7 +211,6 @@ type idxCodec struct {
 	keyCol func(int) int
 	cols   []int
 	keyBuf []Value // one slot per key column
-	row    []Value // scratch
 }
 
 func newIdxCodec(keyCol func(int) int, nKeys int, cols []int) *idxCodec {
@@ -153,8 +223,7 @@ func (c *idxCodec) key(dst []byte, r idxRow) ([]byte, bool) {
 }
 
 func (c *idxCodec) encode(dst []byte, r idxRow) []byte {
-	c.row = appendKept(c.row[:0], r.row, c.cols)
-	return AppendRow(binary.AppendUvarint(dst, uint64(r.idx)), c.row)
+	return appendRowCols(binary.AppendUvarint(dst, uint64(r.idx)), r.row, c.cols)
 }
 
 func (c *idxCodec) decode(rec []byte) (idxRow, error) {

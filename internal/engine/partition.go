@@ -70,13 +70,14 @@ type partition[R any] struct {
 // drain hands the partitions runs[side][p] of one split to node at level
 // (the split's level + 1), in index order or, for a parallel partitioner's
 // level 0, concurrently; parentLen is the sized record count they were split
-// from.
+// from. On failure — cancellation included — it releases the runs of the
+// partitions it did not reach, so an abandoned drain holds no files.
 func (pt *partition[R]) drain(ctx *execContext, level int, runs [][]*spill.Run, parentLen int) error {
 	workers := 1
 	if level == 1 && pt.parallel {
 		workers = ctx.workers
 	}
-	return ctx.runSpans(morselSpans(len(runs[0]), 1), workers, func(_, p int, _ span) error {
+	err := ctx.runSpans(morselSpans(len(runs[0]), 1), workers, func(_, p int, _ span) error {
 		for _, side := range runs[:pt.need] {
 			if side[p].Records == 0 {
 				for _, s := range runs {
@@ -94,6 +95,12 @@ func (pt *partition[R]) drain(ctx *execContext, level int, runs [][]*spill.Run, 
 		}
 		return pt.node(ctx, level, sides, parentLen)
 	})
+	if err != nil {
+		for _, side := range runs {
+			releaseRuns(side)
+		}
+	}
+	return err
 }
 
 // node handles one partition: the leaf when it fits the budget, has reached
@@ -128,8 +135,10 @@ func (pt *partition[R]) node(ctx *execContext, level int, sides [][]R, parentLen
 }
 
 // partWriter routes one side's records into partition runs by the
-// level-salted hash of their key. Level-0 streaming producers (the Grace
-// probe side, the spilled aggregation's sink) push into one directly.
+// level-salted hash of their key; a run creates its file on its first
+// record, so a partition that receives none costs no file. Level-0
+// streaming producers (the Grace probe side, the spilled aggregation's sink)
+// push into one directly.
 type partWriter[R any] struct {
 	codec    partCodec[R]
 	level    int

@@ -155,6 +155,19 @@ func exprRefs(e sqlparser.Expr, rel *relation, total bool, refs []int) (_ []int,
 	return refs, ok
 }
 
+// sortsOnOutput reports whether an ORDER BY expression is an unqualified
+// name equal to an output column, which sorts on the output row (sortKey).
+func sortsOnOutput(e sqlparser.Expr, outNames []string) bool {
+	if ref, ok := e.(*sqlparser.ColumnRef); ok && ref.Table == "" {
+		for _, name := range outNames {
+			if strings.EqualFold(name, ref.Name) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // planSelect plans one SELECT body whose FROM, comma items folded into CROSS
 // joins, is a single left-deep join chain over named tables; schema returns a
 // leaf's columns. It returns nil — the empty plan — for every other shape,
@@ -236,17 +249,10 @@ func planSelect(stmt *sqlparser.SelectStmt, schema func(*sqlparser.TableName) ([
 	if stmt.Having != nil {
 		need(stmt.Having)
 	}
-orderBy:
 	for _, item := range stmt.OrderBy {
-		// An unqualified name equal to an output column sorts on the output.
-		if ref, ok := item.Expr.(*sqlparser.ColumnRef); ok && ref.Table == "" {
-			for _, name := range outNames {
-				if strings.EqualFold(name, ref.Name) {
-					continue orderBy
-				}
-			}
+		if !sortsOnOutput(item.Expr, outNames) {
+			need(item.Expr)
 		}
-		need(item.Expr)
 	}
 
 	total := func(es []sqlparser.Expr, rel *relation) ([]conjunct, bool) {

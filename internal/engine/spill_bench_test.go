@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Out-of-core micro-benchmarks, gate-covered (see Makefile): they pin the
 // cost of the Grace partitioned join and the external merge sort under a
@@ -52,6 +55,57 @@ func BenchmarkSpillAggregate(b *testing.B) {
 	benchQuery(b, db,
 		`SELECT driver_id, COUNT(*), SUM(fare), AVG(fare) FROM trips GROUP BY driver_id`)
 	if st := db.SpillStats(); st.AggSpills == 0 {
+		b.Fatalf("benchmark never spilled: %+v", st)
+	}
+}
+
+// Two out-of-core shapes of the TPC-H counting queries, outside the gate
+// (bench/baseline.txt predates them): run them with make bench-spill.
+
+// BenchmarkWideRowAggSpill is TPC-H Q1's shape: COUNT(*) grouped on two
+// low-cardinality string keys over a filtered 10-column table, spilled under
+// a 256 KiB budget. The select list reads no input column, so the spilled
+// records carry position and key values only.
+func BenchmarkWideRowAggSpill(b *testing.B) {
+	const n = 50000
+	db := NewDB()
+	cols := []Column{{Name: "returnflag", Type: KindString}, {Name: "linestatus", Type: KindString},
+		{Name: "shipdate", Type: KindInt}}
+	for i := 0; i < 7; i++ {
+		cols = append(cols, Column{Name: fmt.Sprintf("c%d", i), Type: KindFloat})
+	}
+	db.MustCreateTable("lineitem", cols)
+	flags, statuses := []string{"A", "N", "R"}, []string{"F", "O"}
+	rows := make([][]Value, n)
+	for i := range rows {
+		row := []Value{NewString(flags[i%3]), NewString(statuses[i%2]), NewInt(int64(i % 2500))}
+		for c := 0; c < 7; c++ {
+			row = append(row, NewFloat(float64(i*(c+1)%1000)+0.25))
+		}
+		rows[i] = row
+	}
+	if err := db.InsertRows("lineitem", rows); err != nil {
+		b.Fatal(err)
+	}
+	db.SetParallelism(1)
+	db.SetTempDir(b.TempDir())
+	db.SetMemoryBudget(256 << 10)
+	benchQuery(b, db, `SELECT returnflag, linestatus, COUNT(*) FROM lineitem
+		WHERE shipdate <= 2400 GROUP BY returnflag, linestatus`)
+	if st := db.SpillStats(); st.AggSpills == 0 {
+		b.Fatalf("benchmark never spilled: %+v", st)
+	}
+}
+
+// BenchmarkManyMatchJoinSpill is TPC-H Q13's shape: a Grace join whose
+// probe rows (5k drivers) each match ten build rows (50k trips), so the
+// match buffer the partition leaves fill is ten times the probe side, under
+// a 1 MiB budget.
+func BenchmarkManyMatchJoinSpill(b *testing.B) {
+	db := spillBenchDB(b, 50000, 1<<20)
+	benchQuery(b, db,
+		`SELECT COUNT(*) FROM drivers d JOIN trips t ON d.id = t.driver_id WHERE t.fare > 10`)
+	if st := db.SpillStats(); st.JoinSpills == 0 {
 		b.Fatalf("benchmark never spilled: %+v", st)
 	}
 }

@@ -793,8 +793,8 @@ func (o *hashJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 // rows straight into the probe partition writer, so the probe side never
 // materializes in memory — the spill budget is the back-pressure valve.
 // flush drains the partition pairs through the join's partitioner
-// (gracePartition) and emits matches (restored to serial probe order) then
-// outer pads.
+// (gracePartition) and emits matches (merged back into serial probe order)
+// then outer pads.
 type graceJoinOp struct {
 	kind      sqlparser.JoinKind
 	st        *graceState // keys, kept columns and residuals as the spilled records see them
@@ -911,23 +911,10 @@ func (o *graceJoinOp) flush(ctx *execContext, emit func(morsel) error) error {
 	if st.resErr != nil {
 		return st.resErr
 	}
-	// Each left row's matches live in one partition in ascending build order,
-	// so the stable sort on left index restores the serial probe emit order.
-	sort.SliceStable(st.out, func(a, b int) bool { return st.out[a].li < st.out[b].li })
-	ctx.pstats.breaker(0) // sorted match buffer materialized before emission
+	ctx.pstats.breaker(0) // match buffer materialized before emission
 	chunk := ctx.spanSize(st.width)
-	for lo := 0; lo < len(st.out); lo += chunk {
-		hi := lo + chunk
-		if hi > len(st.out) {
-			hi = len(st.out)
-		}
-		rows := make([][]Value, hi-lo)
-		for i := lo; i < hi; i++ {
-			rows[i-lo] = st.out[i].row
-		}
-		if err := emit(morsel{rows: rows}); err != nil {
-			return err
-		}
+	if err := st.emitMatches(ctx, chunk, emit); err != nil {
+		return err
 	}
 	if o.keepLeft {
 		var rows [][]Value

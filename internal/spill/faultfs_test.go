@@ -8,7 +8,8 @@ import (
 )
 
 // TestFaultFSInjectsCreate pins that a tripped CreateTemp threshold surfaces
-// as an error from NewRun, leaves nothing live, and defaults to ENOSPC.
+// as an error from the first Write of a run (a run creates its file on its
+// first record), leaves nothing live, and defaults to ENOSPC.
 func TestFaultFSInjectsCreate(t *testing.T) {
 	dir := t.TempDir()
 	ffs := &FaultFS{FailCreateAt: 2}
@@ -16,15 +17,23 @@ func TestFaultFSInjectsCreate(t *testing.T) {
 
 	w, err := m.NewRun()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write([]byte("rec")); err != nil {
 		t.Fatalf("first create should pass: %v", err)
 	}
 	w.Abort()
-	if _, err := m.NewRun(); !errors.Is(err, syscall.ENOSPC) {
+	w, err = m.NewRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write([]byte("rec")); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("second create: got %v, want ENOSPC", err)
 	}
 	if m.LiveFiles() != 0 {
 		t.Fatalf("%d live files after failed create", m.LiveFiles())
 	}
+	w.Abort()
 	if n := countFiles(t, dir); n != 0 {
 		t.Fatalf("%d files on disk after failed create", n)
 	}

@@ -18,11 +18,12 @@ import (
 // merge fan-in stays cheap (fan-in × runBufSize bytes of buffer).
 const runBufSize = 64 * 1024
 
-// RunWriter appends records to a spill file. Not safe for concurrent use;
-// parallel workers each write their own run.
+// RunWriter appends records to a spill file. The file and its buffer are
+// created on the first record, so a run that receives none costs neither.
+// Not safe for concurrent use; parallel workers each write their own run.
 type RunWriter struct {
 	m       *Manager
-	f       File
+	f       File // nil until the first record
 	bw      *bufio.Writer
 	lenBuf  [binary.MaxVarintLen64]byte
 	records int64
@@ -30,12 +31,15 @@ type RunWriter struct {
 	done    bool
 }
 
-func newRunWriter(m *Manager, f File) *RunWriter {
-	return &RunWriter{m: m, f: f, bw: bufio.NewWriterSize(f, runBufSize)}
-}
-
-// Write appends one record.
+// Write appends one record, creating the run's file on the first.
 func (w *RunWriter) Write(rec []byte) error {
+	if w.f == nil {
+		f, err := w.m.create()
+		if err != nil {
+			return err
+		}
+		w.f, w.bw = f, bufio.NewWriterSize(f, runBufSize)
+	}
 	n := binary.PutUvarint(w.lenBuf[:], uint64(len(rec)))
 	if _, err := w.bw.Write(w.lenBuf[:n]); err != nil {
 		return fmt.Errorf("spill: write run: %w", err)
@@ -49,12 +53,16 @@ func (w *RunWriter) Write(rec []byte) error {
 }
 
 // Finish flushes and closes the file, returning the completed run. The
-// run's file stays on disk until Release (or manager Cleanup).
+// run's file stays on disk until Release (or manager Cleanup); a run with
+// no records has no file.
 func (w *RunWriter) Finish() (*Run, error) {
 	if w.done {
 		return nil, fmt.Errorf("spill: run already finished")
 	}
 	w.done = true
+	if w.f == nil {
+		return &Run{m: w.m}, nil
+	}
 	if err := w.bw.Flush(); err != nil {
 		w.abortLocked()
 		return nil, fmt.Errorf("spill: flush run: %w", err)
@@ -81,6 +89,9 @@ func (w *RunWriter) Abort() {
 }
 
 func (w *RunWriter) abortLocked() {
+	if w.f == nil {
+		return
+	}
 	path := w.f.Name()
 	_ = w.f.Close()
 	w.m.release(path)
@@ -89,7 +100,7 @@ func (w *RunWriter) abortLocked() {
 // Run is a completed spill file ready to be read back.
 type Run struct {
 	m       *Manager
-	path    string
+	path    string // "" for a run with no records, which has no file
 	Records int64
 	Bytes   int64
 }
@@ -99,8 +110,11 @@ type Run struct {
 // name at open time pins the data to the open descriptor (POSIX), so a
 // process killed mid-consumption leaks no file — the crash-leak window is
 // only runs being written or finished but not yet opened. A run cannot be
-// reopened after Open.
+// reopened after Open. A run with no records opens at EOF.
 func (r *Run) Open() (*RunReader, error) {
+	if r.path == "" {
+		return &RunReader{closed: true}, nil
+	}
 	f, err := r.m.fs.Open(r.path)
 	if err != nil {
 		// A run that cannot be reopened is still the manager's to unlink:
@@ -114,8 +128,9 @@ func (r *Run) Open() (*RunReader, error) {
 }
 
 // Release removes the run's file; idempotent, and a no-op after Open (the
-// file is already unlinked then). It exists for runs abandoned without
-// being consumed, so peak disk usage tracks the live working set.
+// file is already unlinked then) or for a run with no records. It exists
+// for runs abandoned without being consumed, so peak disk usage tracks the
+// live working set.
 func (r *Run) Release() {
 	r.m.release(r.path)
 }
@@ -131,6 +146,9 @@ type RunReader struct {
 // Next returns the next record, or io.EOF after the last one. The returned
 // slice is valid until the following Next call (the buffer is reused).
 func (r *RunReader) Next() ([]byte, error) {
+	if r.f == nil {
+		return nil, io.EOF
+	}
 	n, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		if err == io.EOF {

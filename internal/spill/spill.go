@@ -41,7 +41,8 @@ type Config struct {
 // Stats are cumulative spill metrics. Counters are additive so per-query
 // manager stats can be folded into process-wide totals.
 type Stats struct {
-	// SpilledBytes / SpilledRecords / Files count run-file traffic.
+	// SpilledBytes / SpilledRecords count run-file traffic, Files the run
+	// files created (a run that receives no record creates none).
 	SpilledBytes   int64 `json:"spilled_bytes"`
 	SpilledRecords int64 `json:"spilled_records"`
 	Files          int64 `json:"files"`
@@ -214,12 +215,18 @@ func (m *Manager) ShouldSpill(estBytes int64) bool {
 	return m.Enabled() && estBytes > m.budget
 }
 
-// NewRun creates a fresh spill file and returns a writer for it. The file
-// is tracked by the manager until the run is released or Cleanup removes it.
+// NewRun returns a writer for a fresh run. Its file is created on its first
+// record and tracked by the manager until the run is released or Cleanup
+// removes it.
 func (m *Manager) NewRun() (*RunWriter, error) {
 	if m == nil {
 		return nil, fmt.Errorf("spill: no manager (budget disabled)")
 	}
+	return &RunWriter{m: m}, nil
+}
+
+// create makes a run file and registers it for cleanup.
+func (m *Manager) create() (File, error) {
 	f, err := m.fs.CreateTemp(m.dir, "flexspill-*.run")
 	if err != nil {
 		return nil, fmt.Errorf("spill: create run: %w", err)
@@ -228,7 +235,7 @@ func (m *Manager) NewRun() (*RunWriter, error) {
 	m.live[f.Name()] = struct{}{}
 	m.stats.Files++
 	m.mu.Unlock()
-	return newRunWriter(m, f), nil
+	return f, nil
 }
 
 // release forgets and removes a run file; idempotent.

@@ -250,6 +250,9 @@ func TestRunFilesLandInDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Write([]byte("rec")); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -265,4 +268,42 @@ func TestRunFilesLandInDir(t *testing.T) {
 		t.Fatalf("unexpected spill file name %q", entries[0].Name())
 	}
 	m.Cleanup()
+}
+
+// TestEmptyRunHasNoFile pins lazy run files: a run creates its file on its
+// first record, so one finished with none leaves nothing on disk, counts no
+// file, opens at EOF, and releases as a no-op — through a FaultFS that would
+// fail any create or open it saw.
+func TestEmptyRunHasNoFile(t *testing.T) {
+	dir := t.TempDir()
+	ffs := &FaultFS{FailCreateAt: 1, FailOpenAt: 1}
+	m := New(Config{Budget: 1, Dir: dir, FS: ffs})
+	w, err := m.NewRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Records != 0 || m.LiveFiles() != 0 || countFiles(t, dir) != 0 {
+		t.Fatalf("empty run: %d records, %d live, %d on disk", run.Records, m.LiveFiles(), countFiles(t, dir))
+	}
+	r, err := run.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Fatalf("empty run Next: got %v, want EOF", err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	run.Release()
+	if creates, opens, _ := ffs.Counts(); creates != 0 || opens != 0 {
+		t.Fatalf("empty run touched the FS: %d creates, %d opens", creates, opens)
+	}
+	if st := m.Stats(); st.Files != 0 || st.SpilledBytes != 0 {
+		t.Fatalf("empty run counted: %+v", st)
+	}
 }
